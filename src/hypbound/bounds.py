@@ -9,7 +9,7 @@ from typing import Optional
 
 from .covering import punctured_dist
 from .errors import PreconditionError
-from .holomaps import HoloMap, Identity, PuncturedPower, declared_degree, evaluate
+from .holomaps import HoloMap, evaluate, reference_degree
 from .mobius import Mobius, apply, is_isometry
 from .models import ModelPoint, density_punctured, dist
 from .report import DEFAULT_TOLERANCE, BoundReport
@@ -17,14 +17,20 @@ from .report import DEFAULT_TOLERANCE, BoundReport
 MIN_SEPARATION = 1e-9
 
 
+def _separation(a: ModelPoint, b: ModelPoint) -> float:
+    """d(a, b), refused below MIN_SEPARATION."""
+    dab = dist(a, b)
+    if dab < MIN_SEPARATION:
+        raise PreconditionError("base points must be separated")
+    return dab
+
+
 def constant_two_point(z: ModelPoint, a: ModelPoint, b: ModelPoint,
                        sharp: bool = False) -> float:
     """The function-independent constant of the two-point bound:
     exp(d(z,a) + d(a,b) + d(b,z)) over d(a,b), or over 2*sinh(d(a,b)/2) in
     the sharp form. The sharp constant never exceeds the plain one."""
-    dab = dist(a, b)
-    if dab < MIN_SEPARATION:
-        raise PreconditionError("base points must be separated")
+    dab = _separation(a, b)
     top = math.exp(dist(z, a) + dab + dist(b, z))
     if sharp:
         return top / (2.0 * math.sinh(0.5 * dab))
@@ -34,9 +40,7 @@ def constant_two_point(z: ModelPoint, a: ModelPoint, b: ModelPoint,
 def constant_keu(a: ModelPoint, b: ModelPoint) -> float:
     """The two-point constant with the z-dependence split off: k such that
     the full constant is at most k * exp(2 d(z,a)), namely exp(2 d(a,b))/d(a,b)."""
-    dab = dist(a, b)
-    if dab < MIN_SEPARATION:
-        raise PreconditionError("base points must be separated")
+    dab = _separation(a, b)
     return math.exp(2.0 * dab) / dab
 
 
@@ -70,9 +74,7 @@ def check_fixed_point(f: HoloMap, a: ModelPoint, b: ModelPoint, z: ModelPoint,
                       tolerance: float = DEFAULT_TOLERANCE) -> BoundReport:
     """Check d(f(z), z) <= M * d(f(a), a) for a map fixing b, with
     M = exp(d(a,z) + d(z,b)) / (4 sinh(d(a,b)/2)); M is always above 1."""
-    dab = dist(a, b)
-    if dab < MIN_SEPARATION:
-        raise PreconditionError("base points must be separated")
+    dab = _separation(a, b)
     drift = dist(evaluate(f, b), b)
     if drift > 1e-10:
         raise PreconditionError(f"map moves the fixed point by {drift:.3e}")
@@ -88,14 +90,7 @@ def check_punctured(f: HoloMap, h: HoloMap, a: ModelPoint, z: ModelPoint,
     """Check d*(f(z), h(z)) <= L^3 * d*(f(a), h(a)) on the punctured disc for
     a self-covering reference h of the same positive degree, where
     L = 8 * density(a) * exp(d*(z, a))."""
-    mf = declared_degree(f)
-    mh = declared_degree(h)
-    if mf is None or mh is None or mf < 1 or mh < 1:
-        raise PreconditionError("both maps need positive degree")
-    if mf != mh:
-        raise PreconditionError(f"degree mismatch: {mf} vs {mh}")
-    if not isinstance(h, (PuncturedPower, Identity)):
-        raise PreconditionError("reference map must be a self-covering (power or identity)")
+    reference_degree(f, h)
     growth = 8.0 * density_punctured(a) * math.exp(punctured_dist(z, a))
     constant = growth ** 3
     lhs = punctured_dist(evaluate(f, z), evaluate(h, z))

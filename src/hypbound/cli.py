@@ -6,6 +6,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from typing import Optional
 
 from .covering import degree_contour
@@ -59,27 +60,41 @@ def _parse_kv(rest: str) -> dict:
     return out
 
 
+@contextmanager
+def _malformed_as_usage(what: str):
+    """Re-raise the AttributeError, KeyError, TypeError or ValueError of
+    parsing malformed input as a UsageError naming ``what``; library errors
+    pass through."""
+    try:
+        yield
+    except HypboundError:
+        raise
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise UsageError(f"malformed {what}: {type(exc).__name__}: {exc}") from exc
+
+
 def parse_map_spec(text: str):
     """A map spec is either the JSON serialization of a map or a shorthand
     like ``power:m=3``, ``exp:m=2,c=0.5``, ``identity``; pipe-separated
     shorthands compose left to right."""
     text = text.strip()
-    if text.startswith("{"):
-        return map_from_dict(json.loads(text))
-    parts = []
-    for chunk in text.split("|"):
-        name, _, rest = chunk.strip().partition(":")
-        kv = _parse_kv(rest)
-        if name == "power":
-            parts.append(PuncturedPower(float(kv.get("theta", 0.0)), int(kv["m"])))
-        elif name == "exp":
-            parts.append(PuncturedExp(float(kv.get("theta", 0.0)),
-                                      int(kv["m"]), float(kv.get("c", 0.0))))
-        elif name == "identity":
-            parts.append(Identity(Model.PUNCTURED_DISC))
-        else:
-            raise UsageError(f"unknown map shorthand {chunk!r}")
-    return parts[0] if len(parts) == 1 else Composition(tuple(parts))
+    with _malformed_as_usage(f"map spec {text!r}"):
+        if text.startswith("{"):
+            return map_from_dict(json.loads(text))
+        parts = []
+        for chunk in text.split("|"):
+            name, _, rest = chunk.strip().partition(":")
+            kv = _parse_kv(rest)
+            if name == "power":
+                parts.append(PuncturedPower(float(kv.get("theta", 0.0)), int(kv["m"])))
+            elif name == "exp":
+                parts.append(PuncturedExp(float(kv.get("theta", 0.0)),
+                                          int(kv["m"]), float(kv.get("c", 0.0))))
+            elif name == "identity":
+                parts.append(Identity(Model.PUNCTURED_DISC))
+            else:
+                raise UsageError(f"unknown map shorthand {chunk!r}")
+        return parts[0] if len(parts) == 1 else Composition(tuple(parts))
 
 
 def parse_family_spec(text: str) -> tuple:
@@ -88,15 +103,16 @@ def parse_family_spec(text: str) -> tuple:
     name, _, rest = text.strip().partition(":")
     kv = _parse_kv(rest)
     params: dict = {}
-    for key, value in kv.items():
-        if key in ("deg", "max_degree"):
-            params["max_degree"] = int(value)
-        elif key in ("m", "max_power"):
-            params["max_power"] = int(value)
-        elif key in ("c", "max_decay"):
-            params["max_decay"] = float(value)
-        else:
-            raise UsageError(f"unknown family parameter {key!r}")
+    with _malformed_as_usage(f"family spec {text!r}"):
+        for key, value in kv.items():
+            if key in ("deg", "max_degree"):
+                params["max_degree"] = int(value)
+            elif key in ("m", "max_power"):
+                params["max_power"] = int(value)
+            elif key in ("c", "max_decay"):
+                params["max_decay"] = float(value)
+            else:
+                raise UsageError(f"unknown family parameter {key!r}")
     return name, params
 
 
@@ -106,6 +122,14 @@ def _emit(text: str, out: Optional[str]) -> None:
             fh.write(text)
     else:
         print(text)
+
+
+def _emit_rows(rows: list, out: Optional[str]) -> int:
+    if out:
+        write_rows_csv(rows, out)
+    else:
+        print(json.dumps(rows, indent=2))
+    return 0
 
 
 def _cmd_dist(args) -> int:
@@ -128,7 +152,7 @@ def _cmd_verify(args) -> int:
         theorem=args.theorem, family=family, family_params=params,
         samples=args.samples, seed=args.seed, min_sep=args.min_sep,
         max_radius=args.max_radius, tolerance=args.tolerance)
-    report = run_campaign(cfg, workers=args.threads)
+    report = run_campaign(cfg)
     _emit(report.to_json(), args.out)
     n_viol = len(report.violations)
     print(f"{args.theorem}: {cfg.samples} samples, {n_viol} violations, "
@@ -137,13 +161,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_halfplane(args) -> int:
-    n_values = [int(tok) for tok in args.n.split(",") if tok]
-    rows = halfplane_growth(n_values)
-    if args.out:
-        write_rows_csv(rows, args.out)
-    else:
-        print(json.dumps(rows, indent=2))
-    return 0
+    with _malformed_as_usage(f"--n {args.n!r}"):
+        n_values = [int(tok) for tok in args.n.split(",") if tok]
+    return _emit_rows(halfplane_growth(n_values), args.out)
 
 
 def _cmd_counterexample(args) -> int:
@@ -158,12 +178,7 @@ def _cmd_counterexample(args) -> int:
 
 def _cmd_convergence(args) -> int:
     z = ModelPoint.disc(parse_complex(args.z))
-    rows = convergence_demo(args.budget, z, rows=args.rows, seed=args.seed)
-    if args.out:
-        write_rows_csv(rows, args.out)
-    else:
-        print(json.dumps(rows, indent=2))
-    return 0
+    return _emit_rows(convergence_demo(args.budget, z, rows=args.rows, seed=args.seed), args.out)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -194,7 +209,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-sep", type=float, default=0.1)
     p.add_argument("--max-radius", type=float, default=6.0)
     p.add_argument("--tolerance", type=float, default=1e-9)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out", default=None, help="write the JSON report here")
     p.set_defaults(func=_cmd_verify)
 

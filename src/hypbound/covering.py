@@ -1,19 +1,21 @@
 """The universal covering exp(2 pi i zeta) of the punctured disc by the upper
-half-plane: distance by deck-orbit minimization, winding-number degree, and
-branch-tracked lifts of punctured-disc self-maps."""
+half-plane: distance by the nearest deck translate, winding-number degree,
+and branch-tracked lifts of punctured-disc self-maps."""
 
 from __future__ import annotations
 
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Optional, Tuple
 
 from .errors import DomainError, NumericalError, PreconditionError, ValidationError
-from .holomaps import Composition, HoloMap, Identity, PuncturedExp, PuncturedPower, declared_degree
+from .holomaps import HoloMap, declared_degree, reference_degree
 from .models import Model, ModelPoint, _dist_upper
 
-TWO_PI = 2.0 * math.pi
+
+def _cover(zeta: complex) -> complex:
+    return cmath.exp(2j * math.pi * zeta)
 
 
 def cover_pi(zeta: ModelPoint) -> ModelPoint:
@@ -21,12 +23,16 @@ def cover_pi(zeta: ModelPoint) -> ModelPoint:
     punctured disc; the image modulus is exp(-2 pi Im zeta)."""
     if zeta.model is not Model.UPPER_HALF_PLANE:
         raise ValidationError("covering map takes an upper half-plane point")
-    return ModelPoint(cmath.exp(2j * math.pi * zeta.value), Model.PUNCTURED_DISC)
+    return ModelPoint(_cover(zeta.value), Model.PUNCTURED_DISC)
+
+
+def _lift_value(theta: float, z: complex) -> complex:
+    # the lift of z on which its argument is theta; Im = -log|z| / (2 pi)
+    return complex(theta / math.tau, -math.log(abs(z)) / math.tau)
 
 
 def _principal_value(z: complex) -> complex:
-    # argument in (-pi, pi]; Im = -log|z| / (2 pi)
-    return complex(cmath.phase(z) / TWO_PI, -math.log(abs(z)) / TWO_PI)
+    return _lift_value(cmath.phase(z), z)
 
 
 def principal_lift(z: ModelPoint) -> ModelPoint:
@@ -36,29 +42,22 @@ def principal_lift(z: ModelPoint) -> ModelPoint:
     return ModelPoint(_principal_value(z.value), Model.UPPER_HALF_PLANE)
 
 
-def _deck_minimize(f: Callable[[int], float]) -> Tuple[float, int]:
-    """Minimize over integer deck translations, doubling the search window
-    while the minimizer sits on its edge. The objective is unimodal in the
-    translation, so an interior minimum is global."""
-    window = 8
-    while window <= 2 ** 20:
-        ks = range(-window, window + 1)
-        best_k = min(ks, key=f)
-        if abs(best_k) < window:
-            return f(best_k), best_k
-        window *= 2
-    raise NumericalError("deck minimization window exhausted")
+def _nearest_deck(u: complex, v: complex) -> Tuple[float, int]:
+    """The distance from the deck orbit u + k to v, and the integer k that
+    attains it. The distance grows with |Re(u - v) + k|, so k is
+    floor(Re(v - u)) or the next integer; a tie goes to the lower one."""
+    k = math.floor(v.real - u.real)
+    lower = _dist_upper(u + k, v)
+    upper = _dist_upper(u + (k + 1), v)
+    return (lower, k) if lower <= upper else (upper, k + 1)
 
 
 def punctured_dist(z: ModelPoint, a: ModelPoint) -> float:
     """Distance on the punctured disc: the infimum of upper half-plane
-    distances between lifts, realized over integer deck translations."""
+    distances between lifts, realized by the nearest deck translate."""
     if z.model is not Model.PUNCTURED_DISC or a.model is not Model.PUNCTURED_DISC:
         raise ValidationError("punctured_dist takes punctured-disc points")
-    zt = _principal_value(z.value)
-    at = _principal_value(a.value)
-    best, _ = _deck_minimize(lambda k: _dist_upper(zt + k, at))
-    return best
+    return _nearest_deck(_principal_value(z.value), _principal_value(a.value))[0]
 
 
 @dataclass(frozen=True)
@@ -79,22 +78,6 @@ class DegreeResult:
         return {"value": self.value, "residual": self.residual, "panels": self.panels}
 
 
-def _log_derivative(f: HoloMap, z: complex) -> complex:
-    if isinstance(f, (PuncturedPower, PuncturedExp)):
-        return f.log_derivative(z)
-    if isinstance(f, Identity):
-        return 1.0 / z
-    if isinstance(f, Composition):
-        # chain rule: ld(g_k o ... o g_1)(z) = ld(g_k)(w) * (g_{k-1} o ... o g_1)'(z)
-        drv = 1.0 + 0.0j
-        w = z
-        for g in f.maps[:-1]:
-            drv *= g._derivative(w)
-            w = g.value_at(w)
-        return _log_derivative(f.maps[-1], w) * drv
-    return f._derivative(z) / f.value_at(z)
-
-
 def degree_contour(f: HoloMap) -> DegreeResult:
     """Degree of a punctured-disc self-map as the winding number of its
     image of the circle of radius 1/2, by trapezoid quadrature of the
@@ -111,7 +94,7 @@ def degree_contour(f: HoloMap) -> DegreeResult:
             z = 0.5 * cmath.exp(2j * math.pi * j / panels)
             if abs(f.value_at(z)) < 1e-12:
                 raise DomainError("map vanishes on the contour")
-            total += _log_derivative(f, z) * z
+            total += f.log_derivative(z) * z
         estimate = total / panels
         if prev is not None and abs(estimate - prev) < 1e-8:
             nearest = round(estimate.real)
@@ -145,8 +128,7 @@ def lift_map(f: HoloMap, anchor: ModelPoint, deck_offset: int = 0) -> LiftedMap:
     degree = declared_degree(f)
     if degree is None or degree < 1:
         raise PreconditionError("map must be a punctured-disc map of positive degree")
-    base_point = cmath.exp(2j * math.pi * anchor.value)
-    image = f.value_at(base_point)
+    image = f.value_at(_cover(anchor.value))
     return LiftedMap(f, anchor, _principal_value(image) + deck_offset, deck_offset, degree)
 
 
@@ -156,12 +138,12 @@ def _track_argument(f: HoloMap, z0: complex, z1: complex, theta0: float) -> Tupl
     pi/2; the integrand is zero-free so the continuation is well defined."""
     theta = theta0
     s = 0.0
-    val = f.value_at(cmath.exp(2j * math.pi * z0))
+    val = f.value_at(_cover(z0))
     step = 1.0 / 32.0
     while s < 1.0:
         h = min(step, 1.0 - s)
         while True:
-            nxt = f.value_at(cmath.exp(2j * math.pi * (z0 + (s + h) * (z1 - z0))))
+            nxt = f.value_at(_cover(z0 + (s + h) * (z1 - z0)))
             delta = cmath.phase(nxt / val)
             if abs(delta) < math.pi / 2.0:
                 break
@@ -179,35 +161,16 @@ def lift_map_eval(lifted: LiftedMap, zeta: ModelPoint) -> ModelPoint:
     along the straight segment from the anchor."""
     if zeta.model is not Model.UPPER_HALF_PLANE:
         raise ValidationError("lift evaluation takes an upper half-plane point")
-    theta0 = TWO_PI * lifted.anchor_value.real
+    theta0 = math.tau * lifted.anchor_value.real
     theta, val = _track_argument(lifted.base_map, lifted.anchor.value, zeta.value, theta0)
-    result = complex(theta / TWO_PI, -math.log(abs(val)) / TWO_PI)
-    return ModelPoint(result, Model.UPPER_HALF_PLANE)
-
-
-def _reference_lift_value(h: HoloMap, zeta: complex) -> complex:
-    # self-coverings lift linearly: e^{i t} z^m lifts to m*zeta + t/(2 pi)
-    if isinstance(h, PuncturedPower):
-        return h.power * zeta + h.rotation / TWO_PI
-    if isinstance(h, Identity) and h.model is Model.PUNCTURED_DISC:
-        return zeta
-    raise PreconditionError("reference map must be a self-covering (power or identity)")
+    return ModelPoint(_lift_value(theta, val), Model.UPPER_HALF_PLANE)
 
 
 def normalized_lift(f: HoloMap, h: HoloMap, anchor: ModelPoint) -> Tuple[LiftedMap, float]:
     """Lift f and pick the integer deck translation that brings its value at
     the anchor closest to the reference self-covering's lift there. The
     returned displacement equals punctured_dist(f(a), h(a)) for a = pi(anchor)."""
-    mf = declared_degree(f)
-    mh = declared_degree(h)
-    if mf is None or mh is None or mf < 1 or mh < 1:
-        raise PreconditionError("both maps need positive degree")
-    if mf != mh:
-        raise PreconditionError(f"degree mismatch: {mf} vs {mh}")
-    if anchor.model is not Model.UPPER_HALF_PLANE:
-        raise ValidationError("anchor must be an upper half-plane point")
-    href = _reference_lift_value(h, anchor.value)
-    base = _principal_value(f.value_at(cmath.exp(2j * math.pi * anchor.value)))
-    displacement, offset = _deck_minimize(lambda k: _dist_upper(base + k, href))
-    lifted = LiftedMap(f, anchor, base + offset, offset, mf)
-    return lifted, displacement
+    reference_degree(f, h)
+    base = lift_map(f, anchor).anchor_value
+    displacement, offset = _nearest_deck(base, h.linear_lift(anchor.value))
+    return lift_map(f, anchor, offset), displacement

@@ -3,7 +3,8 @@ half-plane growth, counterexample, and convergence-transfer demos.
 
 Determinism contract: every sample is rebuilt from (seed, index) through a
 fixed seed-splitting rule, and reports aggregate in index order, so a
-campaign's output is byte-identical at any worker count.
+campaign's output is byte-identical across re-runs and any sample replays
+through ``run_sample``.
 """
 
 from __future__ import annotations
@@ -13,13 +14,13 @@ import csv
 import json
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
 from .bounds import check_fixed_point, check_punctured, check_two_point, constant_two_point
+from .covering import _cover, principal_lift
 from .errors import NumericalError, UsageError
 from .holomaps import (
     BlaschkeProduct,
@@ -33,11 +34,10 @@ from .holomaps import (
     sample_map,
 )
 from .mobius import build_disc_automorphism
-from .models import ModelPoint, dist
+from .models import TO_UPPER, Model, ModelPoint, _mapply, dist
 from .report import BoundReport, fmt17
 
 SCHEMA_VERSION = 1
-TWO_PI = 2.0 * math.pi
 
 _FAMILIES_BY_THEOREM = {
     "two_point": {"blaschke", "automorphism", "mix", "realpart"},
@@ -119,14 +119,13 @@ def derive_seeds(seed: int, index: int, count: int = 4) -> list:
 def _sample_disc_point(rng: np.random.Generator, radius: float) -> ModelPoint:
     # uniform hyperbolic radius up to ``radius`` about the origin
     r = rng.uniform(0.0, radius)
-    phi = rng.uniform(0.0, TWO_PI)
+    phi = rng.uniform(0.0, math.tau)
     return ModelPoint.disc(math.tanh(r / 2.0) * cmath.exp(1j * phi))
 
 
-def _separated_disc_point(rng: np.random.Generator, radius: float,
-                          other: ModelPoint, min_sep: float) -> ModelPoint:
+def _separated(draw: Callable[[], ModelPoint], other: ModelPoint, min_sep: float) -> ModelPoint:
     for _ in range(200):
-        p = _sample_disc_point(rng, radius)
+        p = draw()
         if dist(p, other) >= min_sep:
             return p
     raise UsageError("min_sep is unattainable within the sampling radius")
@@ -161,17 +160,16 @@ def _run_two_point(cfg: CampaignConfig, index: int) -> BoundReport:
     if cfg.family == "realpart":
         # real base points are fixed by Re, so the right side collapses to 0
         a = ModelPoint.disc(rng.uniform(-0.9, 0.9))
-        b = ModelPoint.disc(rng.uniform(-0.9, 0.9))
+        b = _separated(lambda: ModelPoint.disc(rng.uniform(-0.9, 0.9)), a, cfg.min_sep)
         for _ in range(200):
-            if dist(a, b) >= cfg.min_sep:
-                break
-            b = ModelPoint.disc(rng.uniform(-0.9, 0.9))
-        z = _sample_disc_point(rng, half)
-        while abs(z.value.imag) < 0.1:
             z = _sample_disc_point(rng, half)
+            if abs(z.value.imag) >= 0.1:
+                break
+        else:
+            raise UsageError("max_radius is too small to sample z with |Im z| >= 0.1")
     else:
         a = _sample_disc_point(rng, half)
-        b = _separated_disc_point(rng, half, a, cfg.min_sep)
+        b = _separated(lambda: _sample_disc_point(rng, half), a, cfg.min_sep)
         z = _sample_disc_point(rng, half)
     sharp = cfg.theorem == "two_point_sharp"
     report = check_two_point(f, a, b, z, sharp=sharp, tolerance=cfg.tolerance)
@@ -183,7 +181,7 @@ def _run_fixed_point(cfg: CampaignConfig, index: int) -> BoundReport:
     rng = np.random.default_rng(seeds[1])
     half = cfg.max_radius / 2.0
     b = _sample_disc_point(rng, half)
-    a = _separated_disc_point(rng, half, b, cfg.min_sep)
+    a = _separated(lambda: _sample_disc_point(rng, half), b, cfg.min_sep)
     z = _sample_disc_point(rng, half)
     # conjugate w * B(w) (a Blaschke product with an extra zero at 0, hence
     # fixing 0) by the automorphism exchanging 0 and b
@@ -199,7 +197,7 @@ def _run_fixed_point(cfg: CampaignConfig, index: int) -> BoundReport:
 def _punctured_base_point(rng: np.random.Generator) -> ModelPoint:
     # log-uniform modulus in [0.05, 0.95]: the density stays well below 1e3
     r = math.exp(rng.uniform(math.log(0.05), math.log(0.95)))
-    return ModelPoint.punctured(r * cmath.exp(1j * rng.uniform(0.0, TWO_PI)))
+    return ModelPoint.punctured(r * cmath.exp(1j * rng.uniform(0.0, math.tau)))
 
 
 def _punctured_nearby_point(rng: np.random.Generator, a: ModelPoint,
@@ -207,12 +205,11 @@ def _punctured_nearby_point(rng: np.random.Generator, a: ModelPoint,
     # transport a disc sample to the hyperbolic ball around the principal
     # lift of a, then project; rejection keeps the point and its image under
     # the drawn map representable (high powers crush small moduli)
-    lift = complex(cmath.phase(a.value) / TWO_PI, -math.log(abs(a.value)) / TWO_PI)
+    lift = principal_lift(a).value
     for _ in range(500):
         r = rng.uniform(0.0, radius)
-        w = math.tanh(r / 2.0) * cmath.exp(1j * rng.uniform(0.0, TWO_PI))
-        zeta = lift.real + lift.imag * (1j * (1.0 + w) / (1.0 - w))
-        z = cmath.exp(2j * math.pi * zeta)
+        w = math.tanh(r / 2.0) * cmath.exp(1j * rng.uniform(0.0, math.tau))
+        z = _cover(lift.real + lift.imag * _mapply(TO_UPPER[Model.DISC], w))
         if 1e-6 < abs(z) < 1.0 - 1e-8 and abs(f.value_at(z)) > 1e-12:
             return ModelPoint.punctured(z)
     raise NumericalError("could not sample a representable nearby point")
@@ -225,7 +222,7 @@ def _run_punctured(cfg: CampaignConfig, index: int) -> BoundReport:
         "max_power": int(cfg.family_params.get("max_power", 4)),
         "max_decay": float(cfg.family_params.get("max_decay", 2.0)),
     })
-    h = PuncturedPower(rng.uniform(0.0, TWO_PI), f.power)
+    h = PuncturedPower(rng.uniform(0.0, math.tau), f.power)
     a = _punctured_base_point(rng)
     z = _punctured_nearby_point(rng, a, min(4.0, cfg.max_radius), f)
     report = check_punctured(f, h, a, z, tolerance=cfg.tolerance)
@@ -245,17 +242,12 @@ def run_sample(cfg: CampaignConfig, index: int) -> BoundReport:
     return _RUNNERS[cfg.theorem](cfg, index)
 
 
-def run_campaign(cfg: CampaignConfig, workers: int = 1) -> CampaignReport:
+def run_campaign(cfg: CampaignConfig) -> CampaignReport:
     """Evaluate every sample of the configured family against the configured
-    bound. Deterministic in (seed, samples) at any worker count."""
+    bound, in index order. Deterministic in (seed, samples)."""
     start = time.perf_counter()
     runner = _RUNNERS[cfg.theorem]
-    indices = range(cfg.samples)
-    if workers <= 1:
-        reports = [runner(cfg, i) for i in indices]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(lambda i: runner(cfg, i), indices))
+    reports = [runner(cfg, i) for i in range(cfg.samples)]
     margins = np.array([r.margin for r in reports])
     stats = {
         "min": float(margins.min()),

@@ -15,17 +15,17 @@ from .errors import DomainError, IntegrityError, PreconditionError, UsageError, 
 from .mobius import Mobius, build_disc_automorphism
 from .models import Model, ModelPoint, model_excess
 
-TWO_PI = 2.0 * math.pi
-
 
 class HoloMap:
     """Base class for the map families. Concrete variants implement raw
     complex evaluation (``value_at``), a closed-form derivative, and a JSON
     round trip. ``contraction_only`` marks variants that contract the metric
-    without being holomorphic."""
+    without being holomorphic; ``self_covering`` marks the maps
+    z -> e^{i t} z^m of the punctured disc."""
 
     model: Model
     contraction_only = False
+    self_covering = False
 
     def value_at(self, z: complex) -> complex:
         """Raw evaluation, no model validation of argument or image."""
@@ -35,6 +35,17 @@ class HoloMap:
         # central finite difference; every shipped variant overrides this
         h = 1e-6
         return (self.value_at(z + h) - self.value_at(z - h)) / (2.0 * h)
+
+    def log_derivative(self, z: complex) -> complex:
+        return self._derivative(z) / self.value_at(z)
+
+    def declared_degree(self) -> Optional[int]:
+        """Analytic degree of a punctured-disc map; None for other maps."""
+        return None
+
+    def linear_lift(self, zeta: complex) -> complex:
+        """The lift of a self-covering to the upper half-plane, linear in zeta."""
+        raise NotImplementedError
 
     def to_dict(self) -> dict:
         raise NotImplementedError
@@ -62,6 +73,16 @@ class Identity(HoloMap):
 
     def _derivative(self, z: complex) -> complex:
         return 1.0
+
+    @property
+    def self_covering(self) -> bool:
+        return self.model is Model.PUNCTURED_DISC
+
+    def declared_degree(self) -> Optional[int]:
+        return 1 if self.self_covering else None
+
+    def linear_lift(self, zeta: complex) -> complex:
+        return zeta
 
     def to_dict(self) -> dict:
         return {"variant": "identity", "model": self.model.value}
@@ -156,6 +177,7 @@ class PuncturedPower(HoloMap):
     rotation: float
     power: int
     model: Model = field(default=Model.PUNCTURED_DISC, init=False)
+    self_covering = True
 
     def __post_init__(self) -> None:
         if self.power < 1:
@@ -169,6 +191,13 @@ class PuncturedPower(HoloMap):
 
     def log_derivative(self, z: complex) -> complex:
         return self.power / z
+
+    def declared_degree(self) -> Optional[int]:
+        return self.power
+
+    def linear_lift(self, zeta: complex) -> complex:
+        # e^{i t} z^m lifts to m*zeta + t/(2 pi)
+        return self.power * zeta + self.rotation / math.tau
 
     def to_dict(self) -> dict:
         return {"variant": "punctured_power", "rotation": self.rotation, "power": self.power}
@@ -201,6 +230,9 @@ class PuncturedExp(HoloMap):
 
     def log_derivative(self, z: complex) -> complex:
         return self.power / z + self.decay
+
+    def declared_degree(self) -> Optional[int]:
+        return self.power
 
     def to_dict(self) -> dict:
         return {"variant": "punctured_exp", "rotation": self.rotation,
@@ -237,6 +269,18 @@ class Composition(HoloMap):
             drv *= g._derivative(z)
             z = g.value_at(z)
         return drv
+
+    def log_derivative(self, z: complex) -> complex:
+        # chain rule: ld(g_k o ... o g_1)(z) = ld(g_k)(w) * (g_{k-1} o ... o g_1)'(z)
+        drv = 1.0 + 0.0j
+        for g in self.maps[:-1]:
+            drv *= g._derivative(z)
+            z = g.value_at(z)
+        return self.maps[-1].log_derivative(z) * drv
+
+    def declared_degree(self) -> Optional[int]:
+        degrees = [g.declared_degree() for g in self.maps]
+        return None if None in degrees else math.prod(degrees)
 
     def to_dict(self) -> dict:
         return {"variant": "composition", "maps": [g.to_dict() for g in self.maps]}
@@ -297,24 +341,27 @@ def schwarz_quotient(f: HoloMap) -> HoloMap:
 
 def declared_degree(f: HoloMap) -> Optional[int]:
     """Analytic degree of a punctured-disc map; None for other models."""
-    if isinstance(f, (PuncturedPower, PuncturedExp)):
-        return f.power
-    if isinstance(f, Identity) and f.model is Model.PUNCTURED_DISC:
-        return 1
-    if isinstance(f, Composition) and f.model is Model.PUNCTURED_DISC:
-        total = 1
-        for g in f.maps:
-            d = declared_degree(g)
-            if d is None:
-                return None
-            total *= d
-        return total
-    return None
+    return f.declared_degree()
+
+
+def reference_degree(f: HoloMap, h: HoloMap) -> int:
+    """The common degree of f and a reference self-covering h, both of
+    positive degree: the precondition of the punctured-disc bound and of
+    normalized lifts."""
+    mf = f.declared_degree()
+    mh = h.declared_degree()
+    if mf is None or mh is None or mf < 1 or mh < 1:
+        raise PreconditionError("both maps need positive degree")
+    if mf != mh:
+        raise PreconditionError(f"degree mismatch: {mf} vs {mh}")
+    if not h.self_covering:
+        raise PreconditionError("reference map must be a self-covering (power or identity)")
+    return mf
 
 
 def _disc_uniform(rng: np.random.Generator, radius: float) -> complex:
     r = radius * math.sqrt(rng.uniform())
-    phi = rng.uniform(0.0, TWO_PI)
+    phi = rng.uniform(0.0, math.tau)
     return r * cmath.exp(1j * phi)
 
 
@@ -334,24 +381,24 @@ def sample_map(family: str, seed: int, params: Optional[dict] = None) -> HoloMap
             raise UsageError("max_degree must be >= 1")
         degree = int(rng.integers(1, max_degree + 1))
         zeros = tuple(_disc_uniform(rng, 0.95) for _ in range(degree))
-        return BlaschkeProduct(rng.uniform(0.0, TWO_PI), zeros)
+        return BlaschkeProduct(rng.uniform(0.0, math.tau), zeros)
     if family == "disc_automorphism":
         center = ModelPoint.disc(_disc_uniform(rng, 0.95))
-        return MobiusAut(build_disc_automorphism(center, rng.uniform(0.0, TWO_PI)))
+        return MobiusAut(build_disc_automorphism(center, rng.uniform(0.0, math.tau)))
     if family == "punctured_exp":
         max_power = int(params.get("max_power", 4))
         max_decay = float(params.get("max_decay", 2.0))
         if max_power < 1 or max_decay < 0.0:
             raise UsageError("need max_power >= 1 and max_decay >= 0")
         power = int(rng.integers(1, max_power + 1))
-        return PuncturedExp(rng.uniform(0.0, TWO_PI), power, rng.uniform(0.0, max_decay))
+        return PuncturedExp(rng.uniform(0.0, math.tau), power, rng.uniform(0.0, max_decay))
     if family == "near_identity":
         eps = float(params.get("eps", 1e-3))
         if eps <= 0.0:
             raise UsageError("eps must be positive")
         # displacement at the origin is 2*atanh(|center|) < eps/4
         r = math.tanh(eps / 8.0) * math.sqrt(rng.uniform())
-        center = ModelPoint.disc(r * cmath.exp(1j * rng.uniform(0.0, TWO_PI)))
+        center = ModelPoint.disc(r * cmath.exp(1j * rng.uniform(0.0, math.tau)))
         theta = rng.uniform(-eps / 4.0, eps / 4.0)
         return MobiusAut(build_disc_automorphism(center, theta))
     raise UsageError(f"unknown family {family!r}")

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import DomainError, IntegrityError, NumericalError, PreconditionError, ValidationError
-from .models import Model, ModelPoint, convert, dist, model_excess
+from .models import TO_UPPER, Model, ModelPoint, _mapply, convert, dist, model_excess
 from .report import DEFAULT_TOLERANCE, BoundReport
 
 # Boundary fixed point at infinity (never wrapped in a ModelPoint).
@@ -33,11 +33,6 @@ def _minv(m: tuple) -> tuple:
     a, b, c, d = m
     det = a * d - b * c
     return (d / det, -b / det, -c / det, a / det)
-
-
-def _mapply(m: tuple, z: complex) -> complex:
-    a, b, c, d = m
-    return (a * z + b) / (c * z + d)
 
 
 @dataclass(frozen=True)
@@ -225,14 +220,6 @@ def _to_imaginary_axis(p: complex, q: complex) -> tuple:
     return m
 
 
-# hub matrices mapping each Moebius model onto the upper half-plane
-_TO_UPPER_MATRIX = {
-    Model.UPPER_HALF_PLANE: (1.0, 0.0, 0.0, 1.0),
-    Model.RIGHT_HALF_PLANE: (1j, 0.0, 0.0, 1.0),
-    Model.DISC: (1j, 1j, -1.0, 1.0),
-}
-
-
 def hyperbolic_pull(p: ModelPoint, q: ModelPoint) -> Mobius:
     """The hyperbolic automorphism whose axis passes through p and q and
     which maps q to p; the identity when p equals q.
@@ -248,7 +235,7 @@ def hyperbolic_pull(p: ModelPoint, q: ModelPoint) -> Mobius:
     if p.model is Model.PUNCTURED_DISC:
         raise DomainError("no Moebius isometries act on the punctured disc")
     length = dist(p, q)
-    hub = _TO_UPPER_MATRIX[p.model]
+    hub = TO_UPPER[p.model]
     pu = _mapply(hub, p.value)
     qu = _mapply(hub, q.value)
     t = _to_imaginary_axis(pu, qu)
@@ -265,15 +252,11 @@ def _axis_to_upper(axis: tuple, model: Model) -> tuple:
     """Boundary fixed points transported to the real line (or INF)."""
     out = []
     for e in axis:
-        if is_infinite(e):
+        # the disc's boundary point 1 is the pole of the Cayley map
+        if is_infinite(e) or (model is Model.DISC and abs(1.0 - e) < 1e-12):
             out.append(INF)
-        elif model is Model.DISC:
-            if abs(1.0 - e) < 1e-12:
-                out.append(INF)
-            else:
-                out.append(1j * (1.0 + e) / (1.0 - e))
         else:
-            out.append(_mapply(_TO_UPPER_MATRIX[model], e))
+            out.append(_mapply(TO_UPPER[model], e))
     return tuple(out)
 
 
@@ -281,7 +264,7 @@ def dist_to_axis(w: ModelPoint, axis: tuple, model: Model) -> float:
     """Hyperbolic distance from a point to the geodesic with the given
     boundary endpoints (endpoints in model coordinates, INF allowed)."""
     e1, e2 = _axis_to_upper(axis, model)
-    wu = convert(w, Model.UPPER_HALF_PLANE).value if model is not Model.UPPER_HALF_PLANE else w.value
+    wu = convert(w, Model.UPPER_HALF_PLANE).value
     if is_infinite(e1):
         e1, e2 = e2, e1
     if is_infinite(e2):

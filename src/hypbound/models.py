@@ -164,17 +164,20 @@ def density_punctured(z: ModelPoint) -> float:
     return -1.0 / (r * math.log(r))
 
 
-# Fixed isometries, the upper half-plane as hub.
-_TO_UPPER: dict[Model, Callable[[complex], complex]] = {
-    Model.UPPER_HALF_PLANE: lambda z: z,
-    Model.RIGHT_HALF_PLANE: lambda z: 1j * z,
-    Model.DISC: lambda w: 1j * (1.0 + w) / (1.0 - w),
+# Fixed isometries onto the upper half-plane, the hub of the model
+# conversions, as matrices (a, b, c, d) of w -> (a w + b)/(c w + d): rotation
+# by i for the right half-plane, the Cayley map w -> i(1 + w)/(1 - w) for the
+# disc. The adjugate (d, -b, -c, a) is the inverse map.
+TO_UPPER = {
+    Model.UPPER_HALF_PLANE: (1.0, 0.0, 0.0, 1.0),
+    Model.RIGHT_HALF_PLANE: (1j, 0.0, 0.0, 1.0),
+    Model.DISC: (1j, 1j, -1.0, 1.0),
 }
-_FROM_UPPER: dict[Model, Callable[[complex], complex]] = {
-    Model.UPPER_HALF_PLANE: lambda z: z,
-    Model.RIGHT_HALF_PLANE: lambda z: -1j * z,
-    Model.DISC: lambda z: (z - 1j) / (z + 1j),
-}
+
+
+def _mapply(m: tuple, z: complex) -> complex:
+    a, b, c, d = m
+    return (a * z + b) / (c * z + d)
 
 
 def convert(p: ModelPoint, target: Model) -> ModelPoint:
@@ -184,7 +187,8 @@ def convert(p: ModelPoint, target: Model) -> ModelPoint:
         return p
     if target is Model.PUNCTURED_DISC or p.model is Model.PUNCTURED_DISC:
         raise UnsupportedError("no global isometry involves the punctured disc")
-    return ModelPoint(_FROM_UPPER[target](_TO_UPPER[p.model](p.value)), target)
+    a, b, c, d = TO_UPPER[target]
+    return ModelPoint(_mapply((d, -b, -c, a), _mapply(TO_UPPER[p.model], p.value)), target)
 
 
 def _simpson(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,

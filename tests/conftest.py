@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from hypbound import Model, ModelPoint
+from hypbound import CampaignConfig, CampaignReport, Model, ModelPoint, run_sample
 
 TWO_PI = 2.0 * math.pi
 
@@ -34,6 +34,16 @@ def random_model_point(rng: np.random.Generator, model: Model,
 def random_punctured_point(rng: np.random.Generator) -> ModelPoint:
     r = math.exp(rng.uniform(math.log(0.05), math.log(0.95)))
     return ModelPoint.punctured(r * cmath.exp(1j * rng.uniform(0.0, TWO_PI)))
+
+
+def replayed_campaign(cfg: CampaignConfig) -> CampaignReport:
+    """The campaign report assembled in index order from ``run_sample`` alone:
+    its violations and margin statistics, timing set to zero."""
+    reports = [run_sample(cfg, i) for i in range(cfg.samples)]
+    margins = [r.margin for r in reports]
+    stats = {"min": min(margins), "median": float(np.median(margins)),
+             "p99": float(np.percentile(margins, 99)), "max": max(margins)}
+    return CampaignReport(cfg, [r for r in reports if r.violated], stats, 0.0)
 
 
 @pytest.fixture

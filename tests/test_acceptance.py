@@ -36,7 +36,7 @@ from hypbound import (
     sample_map,
 )
 
-from conftest import random_disc_point, random_model_point
+from conftest import random_disc_point, random_model_point, replayed_campaign
 
 
 def _report(number: int, message: str) -> None:
@@ -270,9 +270,12 @@ def test_criterion_10_counterexample():
 
 def test_criterion_11_determinism():
     cfg = CampaignConfig("two_point", "mix", 500, 42, family_params={"max_degree": 5})
-    texts = [run_campaign(cfg, workers=w).to_json(include_timing=False)
-             for w in (1, 4, 8)]
+    reports = [run_campaign(cfg) for _ in range(3)]
+    texts = [r.to_json(include_timing=False) for r in reports]
     assert texts[0] == texts[1] == texts[2]
-    again = run_campaign(cfg, workers=4).to_json(include_timing=False)
-    assert again == texts[0]
-    _report(11, "identical JSON at 1, 4, and 8 workers and across re-runs")
+    replay = replayed_campaign(cfg)
+    assert replay.margin_stats == reports[0].margin_stats
+    assert [v.to_dict() for v in replay.violations] == [v.to_dict() for v in reports[0].violations]
+    assert replay.to_json(include_timing=False) == texts[0]
+    _report(11, "identical JSON across three re-runs and to the report replayed "
+                "sample by sample through run_sample")

@@ -41,6 +41,14 @@ def brute_force_punctured_dist(z: ModelPoint, a: ModelPoint, window: int = 10) -
     return min(dist(ModelPoint.upper(zt + k), at) for k in range(-window, window + 1))
 
 
+def window_min(u: complex, v: complex, center: int = 0, window: int = 8) -> tuple:
+    """Brute-force reference for the nearest deck translate: the least
+    (distance, offset) of d(u + k, v) over a window of offsets k; on equal
+    distances the lower offset wins."""
+    return min((dist(ModelPoint.upper(u + k), ModelPoint.upper(v)), k)
+               for k in range(center - window, center + window + 1))
+
+
 class TestCoverPi:
     def test_at_i(self):
         out = cover_pi(ModelPoint.upper(1j))
@@ -114,6 +122,52 @@ class TestPuncturedDist:
             a = random_punctured_point(rng)
             upper = dist(principal_lift(z), principal_lift(a))
             assert punctured_dist(z, a) <= upper + 1e-12
+
+
+class TestDeckTranslation:
+    def test_punctured_dist_equals_window_min(self, rng):
+        pairs = []
+        for _ in range(200):
+            pairs.append((random_punctured_point(rng), random_punctured_point(rng)))
+        for r, s in ((0.3, 0.6), (0.05, 0.9), (E2PI, E2PI)):
+            # negative real axis: argument +pi or -pi, principal Re +1/2 or -1/2;
+            # against the positive axis (Re 0) both deck offsets are exactly tied
+            for neg in (ModelPoint.punctured(complex(-r, 0.0)),
+                        ModelPoint.punctured(complex(-r, -0.0))):
+                pos = ModelPoint.punctured(s)
+                pairs += [(neg, pos), (pos, neg)]
+        for z, a in pairs:
+            zt, at = principal_lift(z).value, principal_lift(a).value
+            assert punctured_dist(z, a) == window_min(zt, at)[0]
+
+    def test_exact_ties_resolve_to_lower_offset(self):
+        # identity against e^{+-i pi} z: the reference lift sits at Re +-1/2
+        # while f's principal lift sits at Re 0, so offsets k and k + 1 tie
+        anchor = ModelPoint.upper(0.7j)
+        f = Identity(Model.PUNCTURED_DISC)
+        for theta, expected in ((math.pi, 0), (-math.pi, -1)):
+            h = PuncturedPower(theta, 1)
+            base = principal_lift(evaluate(f, cover_pi(anchor))).value
+            href = h.linear_lift(anchor.value)
+            below = dist(ModelPoint.upper(base + expected), ModelPoint.upper(href))
+            above = dist(ModelPoint.upper(base + expected + 1), ModelPoint.upper(href))
+            assert below == above
+            lifted, disp = normalized_lift(f, h, anchor)
+            assert (disp, lifted.deck_offset) == window_min(base, href) == (below, expected)
+
+    def test_far_anchor(self):
+        # the reference lift 2 * anchor has real part near 2^22, beyond any
+        # fixed search window around 0
+        anchor = ModelPoint.upper(2.0 ** 21 + 0.3 + 0.8j)
+        f = PuncturedExp(0.2, 2, 0.3)
+        h = PuncturedPower(0.0, 2)
+        base = principal_lift(evaluate(f, cover_pi(anchor))).value
+        href = h.linear_lift(anchor.value)
+        assert abs(href.real) > 2.0 ** 20
+        expected = window_min(base, href, center=round(href.real - base.real))
+        lifted, disp = normalized_lift(f, h, anchor)
+        assert (disp, lifted.deck_offset) == expected
+        assert lifted.anchor_value == base + lifted.deck_offset
 
 
 class TestDensityEstimates:

@@ -16,14 +16,17 @@ from hypbound import (
     run_campaign,
     run_sample,
 )
+from hypbound.cli import main
 from hypbound.harness import derive_seeds, write_rows_csv
+
+from conftest import replayed_campaign
 
 LN2 = math.log(2.0)
 
 
-def run_cli(*args):
+def run_cli(*args, timeout=None):
     return subprocess.run([sys.executable, "-m", "hypbound", *args],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, timeout=timeout)
 
 
 class TestConfig:
@@ -62,12 +65,18 @@ class TestCampaigns:
         for r in report.violations:
             assert r.violated and r.rhs == 0.0 and r.lhs > 0.0
 
-    def test_determinism_across_workers(self):
-        cfg = CampaignConfig("two_point", "mix", 200, 11,
-                             family_params={"max_degree": 4})
-        texts = {run_campaign(cfg, workers=w).to_json(include_timing=False)
-                 for w in (1, 4, 8)}
-        assert len(texts) == 1
+    def test_determinism_across_reruns_and_replay(self):
+        for cfg in (CampaignConfig("two_point", "mix", 200, 11,
+                                   family_params={"max_degree": 4}),
+                    CampaignConfig("two_point", "realpart", 30, 7)):
+            reports = [run_campaign(cfg) for _ in range(3)]
+            texts = {r.to_json(include_timing=False) for r in reports}
+            assert len(texts) == 1
+            replay = replayed_campaign(cfg)
+            assert replay.margin_stats == reports[0].margin_stats
+            assert ([v.to_dict() for v in replay.violations]
+                    == [v.to_dict() for v in reports[0].violations])
+            assert replay.to_json(include_timing=False) in texts
 
     def test_rerun_identical(self):
         cfg = CampaignConfig("fixed_point", "fixing", 100, 5)
@@ -97,6 +106,11 @@ class TestCampaigns:
             assert rebuilt.violated
             assert abs(rebuilt.margin - record.margin) <= 1e-12 * max(1.0, abs(record.margin))
             assert rebuilt.witnesses["f"] == record.witnesses["f"]
+
+    def test_realpart_unattainable_separation(self):
+        # points of (-0.9, 0.9) lie within 4 atanh(0.9) < 6 of each other
+        with pytest.raises(UsageError):
+            run_campaign(CampaignConfig("two_point", "realpart", 3, 1, min_sep=10.0))
 
     def test_punctured_campaign(self):
         cfg = CampaignConfig("punctured", "exp", 60, 3,
@@ -258,3 +272,28 @@ class TestCli:
     def test_bad_model_token(self):
         out = run_cli("dist", "plane", "0", "1")
         assert out.returncode == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["degree", "power"],
+        ["degree", "exp:c=1"],
+        ["degree", "{bad"],
+        ["degree", '{"variant":"blaschke"}'],
+        ["degree", '{"variant":"composition","maps":[1]}'],
+        ["degree", "exp:m=x"],
+        ["verify", "--theorem", "two_point", "--family", "mix:deg=x"],
+        ["verify", "--theorem", "punctured", "--family", "exp:c=x"],
+        ["halfplane", "--n", "10,x"],
+    ], ids=["power-no-m", "exp-no-m", "bad-json", "blaschke-no-rotation",
+            "composition-bad-map", "exp-m-x",
+            "mix-deg-x", "exp-c-x", "halfplane-n-x"])
+    def test_malformed_input_is_usage_error(self, argv, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed ")
+
+    def test_realpart_small_radius_exits(self):
+        # |Im z| < tanh(0.025) < 0.1 for every z the sampler can draw
+        out = run_cli("verify", "--theorem", "two_point", "--family", "realpart",
+                      "--samples", "3", "--max-radius", "0.1", timeout=30)
+        assert out.returncode == 2
+        assert out.stderr.startswith("error: ")

@@ -1,6 +1,6 @@
 """The universal covering exp(2 pi i zeta) of the punctured disc by the upper
 half-plane: distance by the nearest deck translate, winding-number degree,
-and branch-tracked lifts of punctured-disc self-maps."""
+and closed-form lifts of punctured-disc self-maps."""
 
 from __future__ import annotations
 
@@ -26,13 +26,9 @@ def cover_pi(zeta: ModelPoint) -> ModelPoint:
     return ModelPoint(_cover(zeta.value), Model.PUNCTURED_DISC)
 
 
-def _lift_value(theta: float, z: complex) -> complex:
-    # the lift of z on which its argument is theta; Im = -log|z| / (2 pi)
-    return complex(theta / math.tau, -math.log(abs(z)) / math.tau)
-
-
 def _principal_value(z: complex) -> complex:
-    return _lift_value(cmath.phase(z), z)
+    # Re = arg z / (2 pi) in (-1/2, 1/2], Im = -log|z| / (2 pi)
+    return complex(cmath.phase(z) / math.tau, -math.log(abs(z)) / math.tau)
 
 
 def principal_lift(z: ModelPoint) -> ModelPoint:
@@ -106,8 +102,8 @@ def degree_contour(f: HoloMap) -> DegreeResult:
 
 @dataclass(frozen=True)
 class LiftedMap:
-    """A branch-tracked lift of a punctured-disc self-map to the upper
-    half-plane, pinned by its value at an anchor point.
+    """A lift of a punctured-disc self-map to the upper half-plane: the
+    map's closed-form lift, pinned by its value at an anchor point.
 
     The lift satisfies pi(lift(zeta)) = f(pi(zeta)) and
     lift(zeta + 1) = lift(zeta) + degree.
@@ -132,38 +128,14 @@ def lift_map(f: HoloMap, anchor: ModelPoint, deck_offset: int = 0) -> LiftedMap:
     return LiftedMap(f, anchor, _principal_value(image) + deck_offset, deck_offset, degree)
 
 
-def _track_argument(f: HoloMap, z0: complex, z1: complex, theta0: float) -> Tuple[float, complex]:
-    """Continue arg(f(exp(2 pi i zeta))) along the segment z0 -> z1, starting
-    from theta0. Steps subdivide until every argument increment stays below
-    pi/2; the integrand is zero-free so the continuation is well defined."""
-    theta = theta0
-    s = 0.0
-    val = f.value_at(_cover(z0))
-    step = 1.0 / 32.0
-    while s < 1.0:
-        h = min(step, 1.0 - s)
-        while True:
-            nxt = f.value_at(_cover(z0 + (s + h) * (z1 - z0)))
-            delta = cmath.phase(nxt / val)
-            if abs(delta) < math.pi / 2.0:
-                break
-            h /= 2.0
-            if h < 1e-12:
-                raise NumericalError("branch tracking step underflow")
-        theta += delta
-        val = nxt
-        s += h
-    return theta, val
-
-
 def lift_map_eval(lifted: LiftedMap, zeta: ModelPoint) -> ModelPoint:
-    """Evaluate the lift at a point, tracking the branch of the argument
-    along the straight segment from the anchor."""
+    """Evaluate the lift at a point: the map's closed-form lift, shifted by
+    the integer that pins it to ``anchor_value`` at the anchor."""
     if zeta.model is not Model.UPPER_HALF_PLANE:
         raise ValidationError("lift evaluation takes an upper half-plane point")
-    theta0 = math.tau * lifted.anchor_value.real
-    theta, val = _track_argument(lifted.base_map, lifted.anchor.value, zeta.value, theta0)
-    return ModelPoint(_lift_value(theta, val), Model.UPPER_HALF_PLANE)
+    f = lifted.base_map
+    k = round(lifted.anchor_value.real - f.lift(lifted.anchor.value).real)
+    return ModelPoint(f.lift(zeta.value) + k, Model.UPPER_HALF_PLANE)
 
 
 def normalized_lift(f: HoloMap, h: HoloMap, anchor: ModelPoint) -> Tuple[LiftedMap, float]:
@@ -172,5 +144,5 @@ def normalized_lift(f: HoloMap, h: HoloMap, anchor: ModelPoint) -> Tuple[LiftedM
     returned displacement equals punctured_dist(f(a), h(a)) for a = pi(anchor)."""
     reference_degree(f, h)
     base = lift_map(f, anchor).anchor_value
-    displacement, offset = _nearest_deck(base, h.linear_lift(anchor.value))
+    displacement, offset = _nearest_deck(base, h.lift(anchor.value))
     return lift_map(f, anchor, offset), displacement

@@ -21,7 +21,7 @@ import numpy as np
 
 from .bounds import check_fixed_point, check_punctured, check_two_point, constant_two_point
 from .covering import _cover, principal_lift
-from .errors import NumericalError, UsageError
+from .errors import NumericalError, UsageError, ValidationError
 from .holomaps import (
     BlaschkeProduct,
     Composition,
@@ -39,11 +39,16 @@ from .report import BoundReport, fmt17
 
 SCHEMA_VERSION = 1
 
-_FAMILIES_BY_THEOREM = {
-    "two_point": {"blaschke", "automorphism", "mix", "realpart"},
-    "two_point_sharp": {"blaschke", "automorphism", "mix", "realpart"},
-    "fixed_point": {"fixing"},
-    "punctured": {"exp"},
+_TWO_POINT = {"two_point", "two_point_sharp"}
+
+# family -> (the theorems it drives, the family_params it takes)
+_FAMILIES = {
+    "blaschke": (_TWO_POINT, {"max_degree"}),
+    "automorphism": (_TWO_POINT, set()),
+    "mix": (_TWO_POINT, {"max_degree"}),
+    "realpart": (_TWO_POINT, set()),
+    "fixing": ({"fixed_point"}, {"max_degree"}),
+    "exp": ({"punctured"}, {"max_power", "max_decay"}),
 }
 
 
@@ -59,11 +64,15 @@ class CampaignConfig:
     tolerance: float = 1e-9
 
     def __post_init__(self) -> None:
-        if self.theorem not in _FAMILIES_BY_THEOREM:
+        if self.theorem not in _RUNNERS:
             raise UsageError(f"unknown theorem {self.theorem!r}")
-        if self.family not in _FAMILIES_BY_THEOREM[self.theorem]:
+        theorems, params = _FAMILIES.get(self.family, (set(), set()))
+        if self.theorem not in theorems:
             raise UsageError(
                 f"family {self.family!r} cannot drive theorem {self.theorem!r}")
+        extra = sorted(set(self.family_params) - params)
+        if extra:
+            raise UsageError(f"family {self.family!r} takes no parameter {extra[0]!r}")
         if self.samples < 1:
             raise UsageError("samples must be >= 1")
         if self.seed < 0:
@@ -109,10 +118,10 @@ class CampaignReport:
         return json.dumps(self.to_dict(include_timing), sort_keys=True, indent=2)
 
 
-def derive_seeds(seed: int, index: int, count: int = 4) -> list:
-    """Child seeds for sample ``index``: the documented splitting rule is
-    numpy's SeedSequence keyed on the entropy pair (seed, index)."""
-    state = np.random.SeedSequence((seed, index)).generate_state(count, np.uint64)
+def derive_seeds(seed: int, index: int) -> list:
+    """Four child seeds for sample ``index``: the documented splitting rule
+    is numpy's SeedSequence keyed on the entropy pair (seed, index)."""
+    state = np.random.SeedSequence((seed, index)).generate_state(4, np.uint64)
     return [int(s) for s in state]
 
 
@@ -194,10 +203,20 @@ def _run_fixed_point(cfg: CampaignConfig, index: int) -> BoundReport:
     return report.with_witnesses(seed=cfg.seed, index=index)
 
 
-def _punctured_base_point(rng: np.random.Generator) -> ModelPoint:
-    # log-uniform modulus in [0.05, 0.95]: the density stays well below 1e3
-    r = math.exp(rng.uniform(math.log(0.05), math.log(0.95)))
-    return ModelPoint.punctured(r * cmath.exp(1j * rng.uniform(0.0, math.tau)))
+def _punctured_base_point(rng: np.random.Generator, f: HoloMap) -> ModelPoint:
+    # log-uniform modulus in [0.05, 0.95]: the density stays well below 1e3.
+    # A base point is redrawn exactly when ModelPoint refuses f(a) (high
+    # powers crush small moduli); the reference e^{it} z^m has
+    # |h(a)| >= |f(a)|, so h(a) needs no check.
+    for _ in range(500):
+        r = math.exp(rng.uniform(math.log(0.05), math.log(0.95)))
+        a = r * cmath.exp(1j * rng.uniform(0.0, math.tau))
+        try:
+            ModelPoint.punctured(f.value_at(a))
+        except ValidationError:
+            continue
+        return ModelPoint.punctured(a)
+    raise NumericalError("could not sample a base point with a representable image")
 
 
 def _punctured_nearby_point(rng: np.random.Generator, a: ModelPoint,
@@ -223,7 +242,7 @@ def _run_punctured(cfg: CampaignConfig, index: int) -> BoundReport:
         "max_decay": float(cfg.family_params.get("max_decay", 2.0)),
     })
     h = PuncturedPower(rng.uniform(0.0, math.tau), f.power)
-    a = _punctured_base_point(rng)
+    a = _punctured_base_point(rng, f)
     z = _punctured_nearby_point(rng, a, min(4.0, cfg.max_radius), f)
     report = check_punctured(f, h, a, z, tolerance=cfg.tolerance)
     return report.with_witnesses(seed=cfg.seed, index=index)

@@ -11,16 +11,17 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DomainError, IntegrityError, PreconditionError, UsageError, ValidationError
-from .mobius import Mobius, build_disc_automorphism
-from .models import Model, ModelPoint, model_excess
+from .errors import DomainError, PreconditionError, UsageError, ValidationError
+from .mobius import Mobius, apply, build_disc_automorphism
+from .models import Model, ModelPoint
 
 
 class HoloMap:
     """Base class for the map families. Concrete variants implement raw
-    complex evaluation (``value_at``), a closed-form derivative, and a JSON
-    round trip. ``contraction_only`` marks variants that contract the metric
-    without being holomorphic; ``self_covering`` marks the maps
+    complex evaluation (``value_at``), a closed-form derivative, a JSON
+    round trip and, for punctured-disc maps of declared degree, a
+    closed-form lift. ``contraction_only`` marks variants that contract the
+    metric without being holomorphic; ``self_covering`` marks the maps
     z -> e^{i t} z^m of the punctured disc."""
 
     model: Model
@@ -32,9 +33,7 @@ class HoloMap:
         raise NotImplementedError
 
     def _derivative(self, z: complex) -> complex:
-        # central finite difference; every shipped variant overrides this
-        h = 1e-6
-        return (self.value_at(z + h) - self.value_at(z - h)) / (2.0 * h)
+        raise NotImplementedError
 
     def log_derivative(self, z: complex) -> complex:
         return self._derivative(z) / self.value_at(z)
@@ -43,8 +42,10 @@ class HoloMap:
         """Analytic degree of a punctured-disc map; None for other maps."""
         return None
 
-    def linear_lift(self, zeta: complex) -> complex:
-        """The lift of a self-covering to the upper half-plane, linear in zeta."""
+    def lift(self, zeta: complex) -> complex:
+        """A lift L to the upper half-plane of a punctured-disc map f of
+        declared degree: exp(2 pi i L(zeta)) = f(exp(2 pi i zeta)) and
+        L(zeta + 1) = L(zeta) + degree. Any other lift differs by an integer."""
         raise NotImplementedError
 
     def to_dict(self) -> dict:
@@ -54,14 +55,8 @@ class HoloMap:
         return evaluate(self, p)
 
 
-def evaluate(f: HoloMap, z: ModelPoint) -> ModelPoint:
-    """Evaluate a self-map at a point of its model."""
-    if z.model is not f.model:
-        raise DomainError(f"point model {z.model} differs from map model {f.model}")
-    w = f.value_at(z.value)
-    if model_excess(w, f.model) > 1e-12:
-        raise IntegrityError(f"image {w!r} escapes the {f.model.value} model")
-    return ModelPoint(w, f.model)
+# A self-map is evaluated as a Moebius map is applied: one image check.
+evaluate = apply
 
 
 @dataclass(frozen=True)
@@ -81,7 +76,7 @@ class Identity(HoloMap):
     def declared_degree(self) -> Optional[int]:
         return 1 if self.self_covering else None
 
-    def linear_lift(self, zeta: complex) -> complex:
+    def lift(self, zeta: complex) -> complex:
         return zeta
 
     def to_dict(self) -> dict:
@@ -195,7 +190,7 @@ class PuncturedPower(HoloMap):
     def declared_degree(self) -> Optional[int]:
         return self.power
 
-    def linear_lift(self, zeta: complex) -> complex:
+    def lift(self, zeta: complex) -> complex:
         # e^{i t} z^m lifts to m*zeta + t/(2 pi)
         return self.power * zeta + self.rotation / math.tau
 
@@ -233,6 +228,13 @@ class PuncturedExp(HoloMap):
 
     def declared_degree(self) -> Optional[int]:
         return self.power
+
+    def lift(self, zeta: complex) -> complex:
+        # log f / (2 pi i) at z = exp(2 pi i zeta): the factor e^{c (z - 1)}
+        # adds c (z - 1) / (2 pi i), which is periodic in zeta
+        z = cmath.exp(1j * math.tau * zeta)
+        return (self.power * zeta + self.rotation / math.tau
+                + self.decay * (z - 1.0) / (1j * math.tau))
 
     def to_dict(self) -> dict:
         return {"variant": "punctured_exp", "rotation": self.rotation,
@@ -281,6 +283,11 @@ class Composition(HoloMap):
     def declared_degree(self) -> Optional[int]:
         degrees = [g.declared_degree() for g in self.maps]
         return None if None in degrees else math.prod(degrees)
+
+    def lift(self, zeta: complex) -> complex:
+        for g in self.maps:
+            zeta = g.lift(zeta)
+        return zeta
 
     def to_dict(self) -> dict:
         return {"variant": "composition", "maps": [g.to_dict() for g in self.maps]}

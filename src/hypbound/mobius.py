@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import DomainError, IntegrityError, NumericalError, PreconditionError, ValidationError
-from .models import TO_UPPER, Model, ModelPoint, _mapply, convert, dist, model_excess
+from .models import TO_UPPER, Model, ModelPoint, _adjugate, _mapply, convert, dist, model_excess
 from .report import DEFAULT_TOLERANCE, BoundReport
 
 # Boundary fixed point at infinity (never wrapped in a ModelPoint).
@@ -27,12 +27,6 @@ def _mmul(m1: tuple, m2: tuple) -> tuple:
     a2, b2, c2, d2 = m2
     return (a1 * a2 + b1 * c2, a1 * b2 + b1 * d2,
             c1 * a2 + d1 * c2, c1 * b2 + d1 * d2)
-
-
-def _minv(m: tuple) -> tuple:
-    a, b, c, d = m
-    det = a * d - b * c
-    return (d / det, -b / det, -c / det, a / det)
 
 
 @dataclass(frozen=True)
@@ -65,10 +59,6 @@ class Mobius:
     def entries(self) -> tuple:
         return (self.a, self.b, self.c, self.d)
 
-    @property
-    def trace(self) -> complex:
-        return self.a + self.d
-
     def compose(self, other: "Mobius") -> "Mobius":
         """self after other (matrix product self * other)."""
         if self.model is not other.model:
@@ -76,13 +66,17 @@ class Mobius:
         return Mobius(*_mmul(self.entries, other.entries), self.model)
 
     def inverse(self) -> "Mobius":
-        return Mobius(self.d, -self.b, -self.c, self.a, self.model)
+        return Mobius(*_adjugate(self.entries), self.model)
 
     def apply_value(self, z: complex) -> complex:
         den = self.c * z + self.d
         if den == 0:
             raise DomainError(f"{z!r} is a pole of the transformation")
         return (self.a * z + self.b) / den
+
+    # the raw-evaluation name of the self-map families, so that ``apply``
+    # serves both
+    value_at = apply_value
 
     def to_dict(self) -> dict:
         return {
@@ -96,11 +90,14 @@ class Mobius:
         return cls(a, b, c, dd, Model(d["model"]))
 
 
-def apply(m: Mobius, z: ModelPoint) -> ModelPoint:
-    """Apply a model-preserving map to a point of its model."""
+def apply(m, z: ModelPoint) -> ModelPoint:
+    """Apply a model-preserving map to a point of its model: a Mobius map, or
+    any self-map with a ``model`` and a raw ``value_at`` (this is also
+    ``holomaps.evaluate``). An image more than 1e-12 outside the model is an
+    IntegrityError."""
     if z.model is not m.model:
         raise DomainError(f"point model {z.model} differs from map model {m.model}")
-    w = m.apply_value(z.value)
+    w = m.value_at(z.value)
     if model_excess(w, m.model) > 1e-12:
         raise IntegrityError(f"image {w!r} escapes the {m.model.value} model")
     return ModelPoint(w, m.model)
@@ -139,13 +136,7 @@ def _fixed_points(a: complex, b: complex, c: complex, d: complex) -> tuple:
 
 
 def _is_interior(z: complex, model: Model) -> bool:
-    if is_infinite(z):
-        return False
-    if model is Model.UPPER_HALF_PLANE:
-        return z.imag > 0.0
-    if model is Model.RIGHT_HALF_PLANE:
-        return z.real > 0.0
-    return abs(z) < 1.0
+    return not is_infinite(z) and model_excess(z, model) < 0.0
 
 
 def classify(m: Mobius) -> MobiusClass:
@@ -199,11 +190,23 @@ def build_disc_automorphism(a: ModelPoint, theta: float) -> Mobius:
     return Mobius(rot, -rot * a.value, -a.value.conjugate(), 1.0, Model.DISC)
 
 
+def _axis_matrix(e1: complex, e2: complex) -> tuple:
+    """Real matrix of positive determinant sending the geodesic with real
+    endpoints e1, e2 (one may be INF) onto the imaginary axis."""
+    if is_infinite(e1):
+        e1, e2 = e2, e1
+    if is_infinite(e2):
+        return (1.0, -e1.real, 0.0, 1.0)
+    return (1.0, -max(e1.real, e2.real), 1.0, -min(e1.real, e2.real))
+
+
 def _to_imaginary_axis(p: complex, q: complex) -> tuple:
-    """Real matrix moving the geodesic through upper half-plane points p, q
-    onto the imaginary axis with q at i and p at exp(d)*i above it."""
+    """Real matrix of determinant 1 moving the geodesic through upper
+    half-plane points p, q onto the imaginary axis with q at i and p at
+    exp(d)*i above it. The unit determinant makes its adjugate the inverse,
+    so conjugations by it stay unit too, even for points near the boundary."""
     if abs(p.real - q.real) <= 1e-12 * max(1.0, abs(p), abs(q)):
-        m = (1.0, -q.real, 0.0, 1.0)
+        m = _axis_matrix(q.real, INF)
     else:
         x0 = (abs(p) ** 2 - abs(q) ** 2) / (2.0 * (p.real - q.real))
         r = math.hypot(p.real - x0, p.imag)
@@ -212,12 +215,13 @@ def _to_imaginary_axis(p: complex, q: complex) -> tuple:
         # x0^2 - r^2 = (2 x0 - Re p) Re p - (Im p)^2, which stays accurate
         e_far = x0 + math.copysign(r, x0)
         e_near = ((2.0 * x0 - p.real) * p.real - p.imag * p.imag) / e_far
-        m = (1.0, -max(e_near, e_far), 1.0, -min(e_near, e_far))
+        m = _axis_matrix(e_near, e_far)
     yq = _mapply(m, q).imag
     m = _mmul((1.0, 0.0, 0.0, yq), m)
     if _mapply(m, p).imag < 1.0:
         m = _mmul((0.0, -1.0, 1.0, 0.0), m)  # flip fixing i
-    return m
+    s = math.sqrt(m[0] * m[3] - m[1] * m[2])
+    return (m[0] / s, m[1] / s, m[2] / s, m[3] / s)
 
 
 def hyperbolic_pull(p: ModelPoint, q: ModelPoint) -> Mobius:
@@ -240,8 +244,8 @@ def hyperbolic_pull(p: ModelPoint, q: ModelPoint) -> Mobius:
     qu = _mapply(hub, q.value)
     t = _to_imaginary_axis(pu, qu)
     dil = (math.exp(length / 2.0), 0.0, 0.0, math.exp(-length / 2.0))
-    h_upper = _mmul(_mmul(_minv(t), dil), t)
-    h_model = _mmul(_mmul(_minv(hub), h_upper), hub)
+    h_upper = _mmul(_mmul(_adjugate(t), dil), t)
+    h_model = _mmul(_mmul(_adjugate(hub), h_upper), hub)
     result = Mobius(*h_model, p.model)
     if abs(result.apply_value(q.value) - p.value) > 1e-8 * max(1.0, abs(p.value)):
         raise NumericalError("pull-back construction lost too much precision")
@@ -263,18 +267,8 @@ def _axis_to_upper(axis: tuple, model: Model) -> tuple:
 def dist_to_axis(w: ModelPoint, axis: tuple, model: Model) -> float:
     """Hyperbolic distance from a point to the geodesic with the given
     boundary endpoints (endpoints in model coordinates, INF allowed)."""
-    e1, e2 = _axis_to_upper(axis, model)
     wu = convert(w, Model.UPPER_HALF_PLANE).value
-    if is_infinite(e1):
-        e1, e2 = e2, e1
-    if is_infinite(e2):
-        m = (1.0, -e1.real, 0.0, 1.0)
-    else:
-        x1, x2 = e1.real, e2.real
-        if x1 < x2:
-            x1, x2 = x2, x1  # det x1 - x2 > 0 keeps the map on the upper half-plane
-        m = (1.0, -x1, 1.0, -x2)
-    z = _mapply(m, wu)
+    z = _mapply(_axis_matrix(*_axis_to_upper(axis, model)), wu)
     return math.asinh(abs(z.real) / z.imag)
 
 

@@ -29,36 +29,20 @@ class Model(Enum):
 
 
 def model_excess(value: complex, model: Model) -> float:
-    """How far ``value`` sits outside ``model`` (0.0 for interior points)."""
+    """Signed distance-like excess of ``value`` over ``model``: positive
+    outside, negative inside, and never negative at the puncture. It is the
+    one membership rule: points are refused above -BOUNDARY_MARGIN, images
+    above 1e-12."""
     if model is Model.DISC:
-        return max(0.0, abs(value) - 1.0)
+        return abs(value) - 1.0
     if model is Model.UPPER_HALF_PLANE:
-        return max(0.0, -value.imag)
+        return -value.imag
     if model is Model.RIGHT_HALF_PLANE:
-        return max(0.0, -value.real)
+        return -value.real
     if model is Model.PUNCTURED_DISC:
-        return max(0.0, abs(value) - 1.0)  # the puncture is handled separately
-    raise ValidationError(f"unknown model {model!r}")
-
-
-def _validate(value: complex, model: Model) -> None:
-    if not (math.isfinite(value.real) and math.isfinite(value.imag)):
-        raise ValidationError(f"non-finite point {value!r}")
-    if model is Model.DISC:
-        if abs(value) > 1.0 - BOUNDARY_MARGIN:
-            raise ValidationError(f"{value!r} is not interior to the unit disc")
-    elif model is Model.UPPER_HALF_PLANE:
-        if value.imag < BOUNDARY_MARGIN:
-            raise ValidationError(f"{value!r} is not interior to the upper half-plane")
-    elif model is Model.RIGHT_HALF_PLANE:
-        if value.real < BOUNDARY_MARGIN:
-            raise ValidationError(f"{value!r} is not interior to the right half-plane")
-    elif model is Model.PUNCTURED_DISC:
         r = abs(value)
-        if r > 1.0 - BOUNDARY_MARGIN or r < BOUNDARY_MARGIN:
-            raise ValidationError(f"{value!r} is not interior to the punctured disc")
-    else:
-        raise ValidationError(f"unknown model {model!r}")
+        return r - 1.0 if r > 0.5 else -r  # max(r - 1, -r), without the call
+    raise ValidationError(f"unknown model {model!r}")
 
 
 @dataclass(frozen=True)
@@ -69,8 +53,12 @@ class ModelPoint:
     model: Model
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "value", complex(self.value))
-        _validate(self.value, self.model)
+        value = complex(self.value)
+        object.__setattr__(self, "value", value)
+        if not (math.isfinite(value.real) and math.isfinite(value.imag)):
+            raise ValidationError(f"non-finite point {value!r}")
+        if model_excess(value, self.model) > -BOUNDARY_MARGIN:
+            raise ValidationError(f"{value!r} is not interior to the {self.model.value} model")
 
     @classmethod
     def disc(cls, value: complex) -> "ModelPoint":
@@ -167,7 +155,7 @@ def density_punctured(z: ModelPoint) -> float:
 # Fixed isometries onto the upper half-plane, the hub of the model
 # conversions, as matrices (a, b, c, d) of w -> (a w + b)/(c w + d): rotation
 # by i for the right half-plane, the Cayley map w -> i(1 + w)/(1 - w) for the
-# disc. The adjugate (d, -b, -c, a) is the inverse map.
+# disc. The adjugate is the inverse map.
 TO_UPPER = {
     Model.UPPER_HALF_PLANE: (1.0, 0.0, 0.0, 1.0),
     Model.RIGHT_HALF_PLANE: (1j, 0.0, 0.0, 1.0),
@@ -180,6 +168,12 @@ def _mapply(m: tuple, z: complex) -> complex:
     return (a * z + b) / (c * z + d)
 
 
+def _adjugate(m: tuple) -> tuple:
+    """(d, -b, -c, a): the inverse map, as a matrix scaled by the determinant."""
+    a, b, c, d = m
+    return (d, -b, -c, a)
+
+
 def convert(p: ModelPoint, target: Model) -> ModelPoint:
     """Move a point to another model by a fixed isometry (Cayley map for
     disc <-> upper half-plane, rotation by i for the right half-plane)."""
@@ -187,21 +181,21 @@ def convert(p: ModelPoint, target: Model) -> ModelPoint:
         return p
     if target is Model.PUNCTURED_DISC or p.model is Model.PUNCTURED_DISC:
         raise UnsupportedError("no global isometry involves the punctured disc")
-    a, b, c, d = TO_UPPER[target]
-    return ModelPoint(_mapply((d, -b, -c, a), _mapply(TO_UPPER[p.model], p.value)), target)
+    return ModelPoint(_mapply(_adjugate(TO_UPPER[target]), _mapply(TO_UPPER[p.model], p.value)),
+                      target)
 
 
-def _simpson(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
-             tol: float = 1e-9, max_panels: int = 2 ** 20) -> float:
-    """Composite Simpson with panel doubling until two estimates agree."""
+def _simpson(f: Callable[[np.ndarray], np.ndarray], a: float, b: float) -> float:
+    """Composite Simpson with panel doubling until two estimates agree to
+    1e-9, up to 2**20 panels."""
     n = 8
     prev = None
-    while n <= max_panels:
+    while n <= 2 ** 20:
         t = np.linspace(a, b, n + 1)
         y = f(t)
         h = (b - a) / n
         s = (h / 3.0) * (y[0] + y[-1] + 4.0 * y[1:-1:2].sum() + 2.0 * y[2:-1:2].sum())
-        if prev is not None and abs(s - prev) < tol:
+        if prev is not None and abs(s - prev) < 1e-9:
             return float(s)
         prev = s
         n *= 2

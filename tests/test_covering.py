@@ -28,6 +28,8 @@ from hypbound import (
     sample_map,
 )
 
+from hypbound.cli import parse_map_spec
+
 from conftest import random_punctured_point
 
 TWO_PI = 2.0 * math.pi
@@ -148,7 +150,7 @@ class TestDeckTranslation:
         for theta, expected in ((math.pi, 0), (-math.pi, -1)):
             h = PuncturedPower(theta, 1)
             base = principal_lift(evaluate(f, cover_pi(anchor))).value
-            href = h.linear_lift(anchor.value)
+            href = h.lift(anchor.value)
             below = dist(ModelPoint.upper(base + expected), ModelPoint.upper(href))
             above = dist(ModelPoint.upper(base + expected + 1), ModelPoint.upper(href))
             assert below == above
@@ -162,7 +164,7 @@ class TestDeckTranslation:
         f = PuncturedExp(0.2, 2, 0.3)
         h = PuncturedPower(0.0, 2)
         base = principal_lift(evaluate(f, cover_pi(anchor))).value
-        href = h.linear_lift(anchor.value)
+        href = h.lift(anchor.value)
         assert abs(href.real) > 2.0 ** 20
         expected = window_min(base, href, center=round(href.real - base.real))
         lifted, disp = normalized_lift(f, h, anchor)
@@ -242,6 +244,27 @@ class TestLifts:
                 a = lift_map_eval(lifted, ModelPoint.upper(zeta)).value
                 b = lift_map_eval(lifted, ModelPoint.upper(zeta + 1.0)).value
                 assert abs(b - a - m) <= 1e-9
+
+    def test_composition_lift(self, rng):
+        f = parse_map_spec("exp:m=2,c=0.5|power:m=3")
+        lifted = lift_map(f, ModelPoint.upper(0.1 + 0.9j))
+        assert lifted.degree == 6
+        for _ in range(30):
+            # heights capped so the degree-6 image stays representable
+            zeta = complex(rng.uniform(-2, 2), rng.uniform(0.1, 0.5))
+            out = lift_map_eval(lifted, ModelPoint.upper(zeta)).value
+            assert abs(cover_pi(ModelPoint.upper(out)).value
+                       - evaluate(f, cover_pi(ModelPoint.upper(zeta))).value) <= 1e-9
+            shifted = lift_map_eval(lifted, ModelPoint.upper(zeta + 1.0)).value
+            assert abs(shifted - out - 6) <= 1e-9
+
+    @pytest.mark.parametrize("re", [-50.3, 49.7])
+    def test_far_from_anchor(self, re):
+        f = PuncturedExp(0.4, 3, 1.2)
+        lifted = lift_map(f, ModelPoint.upper(0.2 + 0.6j))
+        zeta = ModelPoint.upper(complex(re, 0.02))
+        lhs = cover_pi(lift_map_eval(lifted, zeta)).value
+        assert abs(lhs - evaluate(f, cover_pi(zeta)).value) <= 1e-9
 
     def test_deck_offset_shifts_values(self):
         f = PuncturedExp(0.2, 2, 0.3)

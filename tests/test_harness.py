@@ -1,11 +1,14 @@
 import csv
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import hypbound
 from hypbound import (
     CampaignConfig,
     ModelPoint,
@@ -25,8 +28,11 @@ LN2 = math.log(2.0)
 
 
 def run_cli(*args, timeout=None):
+    # the child imports hypbound from where this process found it
+    path = [str(Path(hypbound.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     return subprocess.run([sys.executable, "-m", "hypbound", *args],
-                          capture_output=True, text=True, timeout=timeout)
+                          capture_output=True, text=True, timeout=timeout, env=env)
 
 
 class TestConfig:
@@ -39,6 +45,17 @@ class TestConfig:
             CampaignConfig("punctured", "blaschke", 10, 1)
         with pytest.raises(UsageError):
             CampaignConfig("two_point", "exp", 10, 1)
+
+    @pytest.mark.parametrize("theorem, family, params", [
+        ("two_point", "automorphism", {"max_degree": 3}),
+        ("two_point_sharp", "realpart", {"max_degree": 3}),
+        ("two_point", "mix", {"max_power": 3}),
+        ("fixed_point", "fixing", {"max_decay": 1.0}),
+        ("punctured", "exp", {"max_degree": 3}),
+    ])
+    def test_unused_family_params_refused(self, theorem, family, params):
+        with pytest.raises(UsageError):
+            CampaignConfig(theorem, family, 10, 1, family_params=params)
 
     def test_positive_fields(self):
         with pytest.raises(UsageError):
@@ -117,6 +134,14 @@ class TestCampaigns:
                              family_params={"max_power": 4, "max_decay": 2.0})
         report = run_campaign(cfg)
         assert report.violations == []
+
+    def test_punctured_high_power_completes(self):
+        # 0.05**40 underflows the punctured disc's margin: base points whose
+        # image f(a) is not representable are redrawn
+        cfg = CampaignConfig("punctured", "exp", 200, 42, family_params={"max_power": 40})
+        report = run_campaign(cfg)
+        assert report.violations == []
+        assert report.to_json(False) == replayed_campaign(cfg).to_json(False)
 
     def test_seed_splitting_is_stable(self):
         assert derive_seeds(42, 0) == derive_seeds(42, 0)
@@ -290,6 +315,14 @@ class TestCli:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: malformed ")
+
+    def test_unused_family_param_exits(self):
+        out = run_cli("verify", "--theorem", "two_point", "--family", "automorphism:deg=3",
+                      "--samples", "3", timeout=30)
+        assert out.returncode == 2
+        assert out.stdout == ""
+        assert out.stderr.splitlines() == ["error: family 'automorphism' takes no parameter "
+                                           "'max_degree'"]
 
     def test_realpart_small_radius_exits(self):
         # |Im z| < tanh(0.025) < 0.1 for every z the sampler can draw

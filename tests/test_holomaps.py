@@ -8,6 +8,7 @@ from hypbound import (
     DomainError,
     HalfPlaneTranslate,
     Identity,
+    IntegrityError,
     Mobius,
     MobiusAut,
     Model,
@@ -66,6 +67,12 @@ class TestEvaluate:
     def test_model_mismatch(self):
         with pytest.raises(DomainError):
             evaluate(Identity(Model.DISC), ModelPoint.upper(1j))
+
+    def test_escaping_image(self):
+        # w -> 2w is not a self-map of the disc: 0.9 goes to 1.8
+        f = MobiusAut(Mobius(2.0, 0.0, 0.0, 1.0, Model.DISC))
+        with pytest.raises(IntegrityError):
+            evaluate(f, ModelPoint.disc(0.9))
 
     def test_maps_stay_inside_model(self, rng):
         for f in all_variant_examples():

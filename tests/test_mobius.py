@@ -6,6 +6,7 @@ import pytest
 
 from hypbound import (
     DomainError,
+    IntegrityError,
     Mobius,
     Model,
     ModelPoint,
@@ -58,6 +59,16 @@ class TestMobiusType:
     def test_automorphism_trivial_parameters(self):
         m = build_disc_automorphism(ModelPoint.disc(0.0), 0.0)
         assert classify(m).kind == "identity"
+
+    def test_apply_escaping_image(self):
+        # w -> w - x on the right half-plane: an image 5e-13 outside is within
+        # the 1e-12 image tolerance but not a valid point; 0.5 outside escapes
+        near = Mobius(1.0, -(0.5 + 5e-13), 0.0, 1.0, Model.RIGHT_HALF_PLANE)
+        with pytest.raises(ValidationError):
+            apply(near, ModelPoint.right(0.5))
+        far = Mobius(1.0, -1.0, 0.0, 1.0, Model.RIGHT_HALF_PLANE)
+        with pytest.raises(IntegrityError):
+            apply(far, ModelPoint.right(0.5))
 
     def test_apply_model_mismatch(self):
         m = Mobius.identity(Model.DISC)
@@ -190,6 +201,20 @@ class TestHyperbolicPull:
             assert abs(apply(h, q).value - p.value) <= 1e-12
             d = dist(p, q)
             assert abs(classify(h).translation_length - d) <= 1e-12 * d
+
+    @pytest.mark.parametrize("p, q", [
+        (ModelPoint.upper(2e-7j), ModelPoint.upper(1e-7j)),
+        (ModelPoint.upper(complex(1.0, 1e-7)), ModelPoint.upper(complex(1.0 + 1e-8, 2e-7))),
+        (ModelPoint.disc(-(1.0 - 1e-7)), ModelPoint.disc(-(1.0 - 2e-7))),
+        (ModelPoint.disc(complex(-(1.0 - 1e-7), 1e-8)),
+         ModelPoint.disc(complex(-(1.0 - 1e-7), -1e-8))),
+    ])
+    def test_nearby_points_near_the_boundary(self, p, q):
+        # the conjugating matrix's determinant is of order Im q here; the
+        # pull must not inherit it and look singular
+        h = hyperbolic_pull(p, q)
+        assert abs(h.apply_value(q.value) - p.value) <= 1e-8 * max(1.0, abs(p.value))
+        assert classify(h).kind == "hyperbolic"
 
     def test_pull_properties(self, rng):
         for _ in range(200):

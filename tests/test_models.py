@@ -45,8 +45,12 @@ class TestModelPoint:
             ModelPoint.punctured(0.0)
         with pytest.raises(ValidationError):
             ModelPoint.punctured(5e-15)
-        # just inside the margin is fine
+        # just inside the margin is fine, on every edge of every model
         ModelPoint.upper(1.0 + 1e-13j)
+        ModelPoint.disc(1.0 - 1e-13)
+        ModelPoint.right(1e-13 - 1j)
+        ModelPoint.punctured(1e-13j)
+        ModelPoint.punctured(-(1.0 - 1e-13))
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValidationError):

@@ -4,7 +4,9 @@ half-plane growth, counterexample, and convergence-transfer demos.
 Determinism contract: every sample is rebuilt from (seed, index) through a
 fixed seed-splitting rule, and reports aggregate in index order, so a
 campaign's output is byte-identical across re-runs and any sample replays
-through ``run_sample``.
+through ``run_sample``. A campaign seeds its samples a block at a time by a
+vectorised port of that rule; ``run_sample`` applies the rule through numpy
+itself and is the scalar reference.
 """
 
 from __future__ import annotations
@@ -30,11 +32,12 @@ from .holomaps import (
     MobiusAut,
     PuncturedPower,
     RealPartMap,
+    _uniform,
     evaluate,
     sample_map,
 )
 from .mobius import build_disc_automorphism
-from .models import TO_UPPER, Model, ModelPoint, _mapply, dist
+from .models import TO_UPPER, Model, ModelPoint, _mapply, disc_radius_limit, dist
 from .report import BoundReport, fmt17
 
 SCHEMA_VERSION = 1
@@ -79,6 +82,12 @@ class CampaignConfig:
             raise UsageError("seed must be a nonnegative integer")
         if self.min_sep <= 0.0 or self.tolerance <= 0.0 or self.max_radius <= 0.0:
             raise UsageError("min_sep, max_radius and tolerance must be positive")
+        # the punctured sampler caps its radius at 4 and measures no disc distance
+        limit = disc_radius_limit(self.tolerance)
+        if self.theorem != "punctured" and self.max_radius > limit:
+            raise UsageError(
+                f"max_radius {self.max_radius:g} is above {limit:.4g}, beyond which disc "
+                f"distances may err by more than the tolerance {self.tolerance:g}")
 
     def to_dict(self) -> dict:
         return {
@@ -125,10 +134,147 @@ def derive_seeds(seed: int, index: int) -> list:
     return [int(s) for s in state]
 
 
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx) and
+# the 128-bit PCG64 multiplier, for the block seeder below
+_M32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT_HI, _PCG_MULT_LO = 0x2360ED051FC65DA4, 0x4385DF649FCCF645
+# samples seeded per pass; a power of two, so no block straddles 2^32
+_BLOCK = 1024
+
+
+def _words(n: int) -> list:
+    """The uint32 words SeedSequence reads a nonnegative int as, lowest first."""
+    words = [n & _M32]
+    while n > _M32:
+        n >>= 32
+        words.append(n & _M32)
+    return words
+
+
+def _seed_sequence(entropy: list, n_words: int) -> list:
+    """``SeedSequence(e).generate_state(n_words, np.uint64)`` for every
+    entropy e at once: ``entropy`` holds e's uint32 words, lowest first, as
+    uint64 arrays with one entry per e; so does the result."""
+    h = _INIT_A
+
+    def hashmix(value):
+        nonlocal h
+        value = value ^ h
+        h = (h * _MULT_A) & _M32
+        value = (value * h) & _M32
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        value = (x * _MIX_L - y * _MIX_R) & _M32
+        return value ^ (value >> 16)
+
+    zero = np.zeros_like(entropy[0])
+    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    h = _INIT_B
+    out = []
+    for i in range(2 * n_words):
+        value = pool[i % 4] ^ h
+        h = (h * _MULT_B) & _M32
+        value = (value * h) & _M32
+        out.append(value ^ (value >> 16))
+    return [out[2 * k] | (out[2 * k + 1] << 32) for k in range(n_words)]
+
+
+def _add128(a_hi, a_lo, b_hi, b_lo) -> tuple:
+    lo = a_lo + b_lo
+    return a_hi + b_hi + (lo < a_lo), lo
+
+
+def _pcg64_states(children: np.ndarray) -> list:
+    """The PCG64 (state, inc) that ``np.random.default_rng(c)`` starts in, for
+    every child seed c, as the uint64 arrays [state_hi, state_lo, inc_hi,
+    inc_lo]. A seed below 2^32 is one SeedSequence word, which mixes as the
+    pair (c, 0) does. pcg64_set_seed takes inc = 2 i + 1 and state
+    (s + inc) * MULT + inc, modulo 2^128, from the words (s_hi, s_lo, i_hi, i_lo)."""
+    s_hi, s_lo, i_hi, i_lo = _seed_sequence([children & _M32, children >> 32], 4)
+    inc_hi = (i_hi << 1) | (i_lo >> 63)
+    inc_lo = (i_lo << 1) | 1
+    t_hi, t_lo = _add128(s_hi, s_lo, inc_hi, inc_lo)
+    # t * MULT modulo 2^128: the full product of the low words (by 32-bit
+    # halves), then the cross terms, which only reach the high word
+    a0, a1 = t_lo & _M32, t_lo >> 32
+    b0, b1 = _PCG_MULT_LO & _M32, _PCG_MULT_LO >> 32
+    cross0, cross1 = a0 * b1, a1 * b0
+    carry = ((a0 * b0) >> 32) + (cross0 & _M32) + (cross1 & _M32)
+    p_hi = (a1 * b1 + (cross0 >> 32) + (cross1 >> 32) + (carry >> 32)
+            + t_lo * _PCG_MULT_HI + t_hi * _PCG_MULT_LO)
+    st_hi, st_lo = _add128(p_hi, t_lo * _PCG_MULT_LO, inc_hi, inc_lo)
+    return [st_hi, st_lo, inc_hi, inc_lo]
+
+
+def _block_states(seed: int, start: int, stop: int) -> np.ndarray:
+    """For the samples start <= i < stop of one block, the PCG64 states of
+    ``np.random.default_rng(derive_seeds(seed, i)[k])``: an array of shape
+    (stop - start, 4, 4) indexed [i - start, k] by (state_hi, state_lo,
+    inc_hi, inc_lo). The four children of every index go through PCG64
+    seeding as one stacked array."""
+    n = stop - start
+    index = np.arange(start, stop, dtype=np.uint64)
+    entropy = [np.full(n, w, dtype=np.uint64) for w in _words(seed)]
+    entropy += [(index >> np.uint64(32 * j)) & _M32 for j in range(len(_words(start)))]
+    children = np.concatenate(_seed_sequence(entropy, 4))  # child k of i at k n + i - start
+    states = np.stack(_pcg64_states(children)).reshape(4, 4, n)
+    return np.ascontiguousarray(states.transpose(2, 1, 0))
+
+
+class _CampaignSeeds:
+    """The ``seeds`` that ``run_campaign`` hands a runner: entry k is one
+    reused Generator, re-seeded the first time the runner reads it for the
+    sample, into the state ``np.random.default_rng(derive_seeds(seed, i)[k])``
+    starts in. A runner reads each entry at most once per sample. The states
+    are computed ``_BLOCK`` samples at a time."""
+
+    def __init__(self, seed: int, samples: int) -> None:
+        self._seed = seed
+        self._samples = samples
+        self._gens = [np.random.Generator(np.random.PCG64(0)) for _ in range(4)]
+        self._start = 0
+        self._table = np.empty((0, 4, 4), dtype=np.uint64)
+        self._states: list = []
+        self._unread = [False] * 4
+
+    def at(self, index: int) -> "_CampaignSeeds":
+        row = index - self._start
+        if not 0 <= row < len(self._table):
+            self._start = index - index % _BLOCK
+            stop = min(self._start + _BLOCK, self._samples)
+            self._table = _block_states(self._seed, self._start, stop)
+            row = index - self._start
+        self._states = self._table[row].tolist()
+        self._unread = [True] * 4
+        return self
+
+    def __getitem__(self, k: int) -> np.random.Generator:
+        gen = self._gens[k]
+        if self._unread[k]:
+            self._unread[k] = False
+            s_hi, s_lo, i_hi, i_lo = self._states[k]
+            gen.bit_generator.state = {
+                "bit_generator": "PCG64",
+                "state": {"state": (s_hi << 64) | s_lo, "inc": (i_hi << 64) | i_lo},
+                "has_uint32": 0, "uinteger": 0}
+        return gen
+
+
 def _sample_disc_point(rng: np.random.Generator, radius: float) -> ModelPoint:
     # uniform hyperbolic radius up to ``radius`` about the origin
-    r = rng.uniform(0.0, radius)
-    phi = rng.uniform(0.0, math.tau)
+    r = _uniform(rng, 0.0, radius)
+    phi = _uniform(rng, 0.0, math.tau)
     return ModelPoint.disc(math.tanh(r / 2.0) * cmath.exp(1j * phi))
 
 
@@ -140,7 +286,7 @@ def _separated(draw: Callable[[], ModelPoint], other: ModelPoint, min_sep: float
     raise UsageError("min_sep is unattainable within the sampling radius")
 
 
-def _draw_disc_map(cfg: CampaignConfig, seeds: list) -> HoloMap:
+def _draw_disc_map(cfg: CampaignConfig, seeds) -> HoloMap:
     if cfg.family == "blaschke":
         return sample_map("blaschke", seeds[0],
                           {"max_degree": int(cfg.family_params.get("max_degree", 5))})
@@ -161,15 +307,14 @@ def _draw_disc_map(cfg: CampaignConfig, seeds: list) -> HoloMap:
     ))
 
 
-def _run_two_point(cfg: CampaignConfig, index: int) -> BoundReport:
-    seeds = derive_seeds(cfg.seed, index)
+def _run_two_point(cfg: CampaignConfig, index: int, seeds) -> BoundReport:
     rng = np.random.default_rng(seeds[1])
     half = cfg.max_radius / 2.0  # pairwise separations stay within max_radius
     f = _draw_disc_map(cfg, seeds)
     if cfg.family == "realpart":
         # real base points are fixed by Re, so the right side collapses to 0
-        a = ModelPoint.disc(rng.uniform(-0.9, 0.9))
-        b = _separated(lambda: ModelPoint.disc(rng.uniform(-0.9, 0.9)), a, cfg.min_sep)
+        a = ModelPoint.disc(_uniform(rng, -0.9, 0.9))
+        b = _separated(lambda: ModelPoint.disc(_uniform(rng, -0.9, 0.9)), a, cfg.min_sep)
         for _ in range(200):
             z = _sample_disc_point(rng, half)
             if abs(z.value.imag) >= 0.1:
@@ -185,8 +330,7 @@ def _run_two_point(cfg: CampaignConfig, index: int) -> BoundReport:
     return report.with_witnesses(seed=cfg.seed, index=index)
 
 
-def _run_fixed_point(cfg: CampaignConfig, index: int) -> BoundReport:
-    seeds = derive_seeds(cfg.seed, index)
+def _run_fixed_point(cfg: CampaignConfig, index: int, seeds) -> BoundReport:
     rng = np.random.default_rng(seeds[1])
     half = cfg.max_radius / 2.0
     b = _sample_disc_point(rng, half)
@@ -209,8 +353,8 @@ def _punctured_base_point(rng: np.random.Generator, f: HoloMap) -> ModelPoint:
     # powers crush small moduli); the reference e^{it} z^m has
     # |h(a)| >= |f(a)|, so h(a) needs no check.
     for _ in range(500):
-        r = math.exp(rng.uniform(math.log(0.05), math.log(0.95)))
-        a = r * cmath.exp(1j * rng.uniform(0.0, math.tau))
+        r = math.exp(_uniform(rng, math.log(0.05), math.log(0.95)))
+        a = r * cmath.exp(1j * _uniform(rng, 0.0, math.tau))
         try:
             ModelPoint.punctured(f.value_at(a))
         except ValidationError:
@@ -226,29 +370,31 @@ def _punctured_nearby_point(rng: np.random.Generator, a: ModelPoint,
     # the drawn map representable (high powers crush small moduli)
     lift = principal_lift(a).value
     for _ in range(500):
-        r = rng.uniform(0.0, radius)
-        w = math.tanh(r / 2.0) * cmath.exp(1j * rng.uniform(0.0, math.tau))
+        r = _uniform(rng, 0.0, radius)
+        w = math.tanh(r / 2.0) * cmath.exp(1j * _uniform(rng, 0.0, math.tau))
         z = _cover(lift.real + lift.imag * _mapply(TO_UPPER[Model.DISC], w))
         if 1e-6 < abs(z) < 1.0 - 1e-8 and abs(f.value_at(z)) > 1e-12:
             return ModelPoint.punctured(z)
     raise NumericalError("could not sample a representable nearby point")
 
 
-def _run_punctured(cfg: CampaignConfig, index: int) -> BoundReport:
-    seeds = derive_seeds(cfg.seed, index)
+def _run_punctured(cfg: CampaignConfig, index: int, seeds) -> BoundReport:
     rng = np.random.default_rng(seeds[1])
     f = sample_map("punctured_exp", seeds[0], {
         "max_power": int(cfg.family_params.get("max_power", 4)),
         "max_decay": float(cfg.family_params.get("max_decay", 2.0)),
     })
-    h = PuncturedPower(rng.uniform(0.0, math.tau), f.power)
+    h = PuncturedPower(_uniform(rng, 0.0, math.tau), f.power)
     a = _punctured_base_point(rng, f)
     z = _punctured_nearby_point(rng, a, min(4.0, cfg.max_radius), f)
     report = check_punctured(f, h, a, z, tolerance=cfg.tolerance)
     return report.with_witnesses(seed=cfg.seed, index=index)
 
 
-_RUNNERS: dict[str, Callable[[CampaignConfig, int], BoundReport]] = {
+# A runner builds and checks sample ``index`` from its four seeds: the ints
+# of derive_seeds, or the Generators of _CampaignSeeds. It reads each entry
+# once, through np.random.default_rng or sample_map, which both take either.
+_RUNNERS: dict[str, Callable[..., BoundReport]] = {
     "two_point": _run_two_point,
     "two_point_sharp": _run_two_point,
     "fixed_point": _run_fixed_point,
@@ -257,8 +403,9 @@ _RUNNERS: dict[str, Callable[[CampaignConfig, int], BoundReport]] = {
 
 
 def run_sample(cfg: CampaignConfig, index: int) -> BoundReport:
-    """Rebuild and re-check the single sample ``index`` of a campaign."""
-    return _RUNNERS[cfg.theorem](cfg, index)
+    """Rebuild and re-check the single sample ``index`` of a campaign; the
+    scalar reference for the block-seeded ``run_campaign``."""
+    return _RUNNERS[cfg.theorem](cfg, index, derive_seeds(cfg.seed, index))
 
 
 def run_campaign(cfg: CampaignConfig) -> CampaignReport:
@@ -266,7 +413,8 @@ def run_campaign(cfg: CampaignConfig) -> CampaignReport:
     bound, in index order. Deterministic in (seed, samples)."""
     start = time.perf_counter()
     runner = _RUNNERS[cfg.theorem]
-    reports = [runner(cfg, i) for i in range(cfg.samples)]
+    seeds = _CampaignSeeds(cfg.seed, cfg.samples)
+    reports = [runner(cfg, i, seeds.at(i)) for i in range(cfg.samples)]
     margins = np.array([r.margin for r in reports])
     stats = {
         "min": float(margins.min()),

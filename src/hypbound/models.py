@@ -8,6 +8,7 @@ normalization (disc density 2/(1-|z|^2), half-plane density 1/Im).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
@@ -109,6 +110,15 @@ def _dist_disc(u: complex, v: complex) -> float:
     if t >= 1.0:
         raise NumericalError("points too close to the boundary for a finite distance")
     return 2.0 * math.atanh(t)
+
+
+def disc_radius_limit(tolerance: float) -> float:
+    """The largest R at which ``_dist_disc`` is within ``tolerance`` of the
+    exact distance between any two points at most R/2 from the origin. The
+    roundings of |u - v| and 1 - u conj(v) are scaled by cosh(R/2)^2 and
+    cosh(R/2) cosh(R/4)^2, so the error grows like eps e^R (about half of
+    that was the worst measured); the limit allows 2 eps e^R."""
+    return math.log(tolerance / (2.0 * sys.float_info.epsilon))
 
 
 def _dist_upper(u: complex, v: complex) -> float:

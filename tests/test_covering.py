@@ -6,6 +6,7 @@ import pytest
 from hypbound import (
     Composition,
     DomainError,
+    HoloMap,
     Identity,
     Model,
     ModelPoint,
@@ -213,6 +214,32 @@ class TestDegreeContour:
             degree_contour(Identity(Model.DISC))
         with pytest.raises(DomainError):
             degree_contour(RealPartMap())
+
+    @pytest.mark.parametrize("f", [PuncturedExp(0.3, 40, 2.0), PuncturedPower(0.0, 60),
+                                   Composition((PuncturedPower(0.0, 8), PuncturedExp(0.0, 6, 1.0)))])
+    def test_high_degree_zero_free_maps(self, f):
+        # |f| is about 0.5**m on the contour, below any absolute threshold
+        result = degree_contour(f)
+        assert result.value == declared_degree(f) and result.residual < 1e-6
+
+    def test_map_vanishing_on_the_contour_is_refused(self):
+        class Vanishing(HoloMap):
+            # scale (z - 1/2) + offset: a zero at the contour node z = 1/2,
+            # or, with an offset, 1e-320 away, where f'/f overflows
+            model = Model.PUNCTURED_DISC
+
+            def __init__(self, scale, offset):
+                self.scale, self.offset = scale, offset
+
+            def value_at(self, z):
+                return self.scale * (z - 0.5) + self.offset
+
+            def _derivative(self, z):
+                return self.scale
+
+        for scale, offset in ((1.0, 0.0), (1e-300, 0.0), (1.0, 1e-320)):
+            with pytest.raises(DomainError, match="vanishes"):
+                degree_contour(Vanishing(scale, offset))
 
 
 class TestLifts:

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import hypbound
@@ -20,7 +21,15 @@ from hypbound import (
     run_sample,
 )
 from hypbound.cli import main
-from hypbound.harness import derive_seeds, write_rows_csv
+from hypbound.harness import (
+    _BLOCK,
+    _block_states,
+    _CampaignSeeds,
+    _pcg64_states,
+    derive_seeds,
+    write_rows_csv,
+)
+from hypbound.holomaps import _uniform
 
 from conftest import replayed_campaign
 
@@ -57,6 +66,18 @@ class TestConfig:
         with pytest.raises(UsageError):
             CampaignConfig(theorem, family, 10, 1, family_params=params)
 
+    def test_max_radius_beyond_disc_accuracy_refused(self):
+        for theorem, family in (("two_point", "mix"), ("two_point_sharp", "blaschke"),
+                                ("fixed_point", "fixing")):
+            with pytest.raises(UsageError, match="14.6"):
+                CampaignConfig(theorem, family, 10, 1, max_radius=40.0)
+            CampaignConfig(theorem, family, 10, 1)  # the default radius 6
+            CampaignConfig(theorem, family, 10, 1, max_radius=14.0)
+        with pytest.raises(UsageError):
+            CampaignConfig("two_point", "mix", 10, 1, tolerance=1e-14)
+        # the punctured sampler caps its radius at 4
+        CampaignConfig("punctured", "exp", 10, 1, max_radius=40.0)
+
     def test_positive_fields(self):
         with pytest.raises(UsageError):
             CampaignConfig("two_point", "mix", 0, 1)
@@ -85,7 +106,17 @@ class TestCampaigns:
     def test_determinism_across_reruns_and_replay(self):
         for cfg in (CampaignConfig("two_point", "mix", 200, 11,
                                    family_params={"max_degree": 4}),
-                    CampaignConfig("two_point", "realpart", 30, 7)):
+                    CampaignConfig("two_point", "realpart", 30, 7),
+                    CampaignConfig("two_point_sharp", "blaschke", 100, 3,
+                                   family_params={"max_degree": 16}),
+                    CampaignConfig("two_point", "automorphism", 100, 4),
+                    CampaignConfig("fixed_point", "fixing", 100, 5),
+                    CampaignConfig("punctured", "exp", 100, 6,
+                                   family_params={"max_power": 4, "max_decay": 2.0}),
+                    CampaignConfig("punctured", "exp", 100, 8,
+                                   family_params={"max_power": 12}),
+                    # longer than one seeding block
+                    CampaignConfig("two_point", "mix", _BLOCK + 76, 12)):
             reports = [run_campaign(cfg) for _ in range(3)]
             texts = {r.to_json(include_timing=False) for r in reports}
             assert len(texts) == 1
@@ -147,6 +178,80 @@ class TestCampaigns:
         assert derive_seeds(42, 0) == derive_seeds(42, 0)
         assert derive_seeds(42, 0) != derive_seeds(42, 1)
         assert derive_seeds(42, 0) != derive_seeds(43, 0)
+
+    def test_seed_contract_is_pinned(self):
+        # the splitting rule and the first draw of each child's generator,
+        # as literals: a numpy release that changed seeding would change
+        # every report's bytes, and fails here instead
+        want = {
+            0: ([14667151931722001445, 8368139746416978935,
+                 7053775015097763905, 14897445140615492404],
+                [0.9801046292176597, 0.906746370632002,
+                 0.6179607927625976, 0.6282902368304226]),
+            1: ([4676235170662605758, 2166774691961821553,
+                 5605184042632993685, 280807635316854886],
+                [0.39850495127987406, 0.24002761251182503,
+                 0.4155763287955496, 0.5980221835464028]),
+            2: ([278179885507208118, 9851227419835906499,
+                 15456382359934933023, 12846675901496642028],
+                [0.3164217119662832, 0.21391086982417873,
+                 0.8681159670165643, 0.2769450712264596]),
+        }
+        for index, (children, first) in want.items():
+            assert derive_seeds(2018, index) == children
+            assert [np.random.default_rng(c).random() for c in children] == first
+
+
+class TestBlockSeeding:
+    @pytest.mark.parametrize("seed", [0, 7, 2 ** 32 + 5, 2 ** 64 + 3, 2 ** 100 + 1])
+    def test_generators_match_default_rng(self, seed):
+        # every index of a block and the first ones of the next; integers()
+        # leaves half a 64-bit word buffered, which the next sample must drop
+        samples = _BLOCK + 3
+        seeds = _CampaignSeeds(seed, samples)
+        for index in range(samples):
+            entry = seeds.at(index)
+            for k, child in enumerate(derive_seeds(seed, index)):
+                ref = np.random.default_rng(child)
+                gen = entry[k]
+                assert gen.integers(0, 3) == ref.integers(0, 3)
+                assert gen.random() == ref.random()
+
+    def test_entry_is_seeded_once_per_sample(self):
+        seeds = _CampaignSeeds(9, 4).at(2)
+        first = seeds[1].random()
+        assert seeds[1].random() != first
+        assert seeds.at(2)[1].random() == first
+
+    @pytest.mark.parametrize("seed", [7, 2 ** 64 + 3])
+    def test_indices_past_two_to_the_32(self, seed):
+        # two entropy words per index
+        start = 2 ** 32
+        table = _block_states(seed, start, start + 3)
+        for row, states in enumerate(table.tolist()):
+            for child, (s_hi, s_lo, i_hi, i_lo) in zip(derive_seeds(seed, start + row), states):
+                got = {"state": (s_hi << 64) | s_lo, "inc": (i_hi << 64) | i_lo}
+                assert np.random.default_rng(child).bit_generator.state["state"] == got
+
+    def test_child_seeds_below_two_to_the_32(self):
+        # such a child is one SeedSequence word; sampling meets one about
+        # once in 2^32 children, so the array is crafted
+        children = [0, 1, 5, 2018, 2 ** 31, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1]
+        s_hi, s_lo, i_hi, i_lo = (a.tolist() for a in
+                                  _pcg64_states(np.array(children, dtype=np.uint64)))
+        for j, child in enumerate(children):
+            want = np.random.default_rng(child).bit_generator.state["state"]
+            assert want == {"state": (s_hi[j] << 64) | s_lo[j],
+                            "inc": (i_hi[j] << 64) | i_lo[j]}
+
+    @pytest.mark.parametrize("lo, hi", [
+        (0.0, 1.0), (0.0, math.tau), (0.0, 3.0), (0.0, 4.0), (0.0, 2.0),
+        (-0.9, 0.9), (math.log(0.05), math.log(0.95)), (-2.5e-4, 2.5e-4),
+    ])
+    def test_uniform_helper_is_generator_uniform(self, lo, hi):
+        ours, ref = np.random.default_rng(31), np.random.default_rng(31)
+        got = np.array([_uniform(ours, lo, hi) for _ in range(10 ** 5)])
+        assert np.array_equal(got, ref.uniform(lo, hi, 10 ** 5))
 
 
 class TestHalfplaneGrowth:
@@ -246,6 +351,19 @@ class TestCli:
         assert out.returncode == 0
         assert json.loads(out.stdout)["value"] == 2
 
+    @pytest.mark.parametrize("spec, degree", [("exp:m=40", 40), ("power:m=60", 60)])
+    def test_degree_of_high_powers(self, spec, degree, capsys):
+        assert main(["degree", spec]) == 0
+        assert json.loads(capsys.readouterr().out)["value"] == degree
+
+    def test_verify_refuses_unusable_max_radius(self, tmp_path):
+        path = tmp_path / "report.json"
+        out = run_cli("verify", "--theorem", "two_point", "--family", "mix",
+                      "--max-radius", "40", "--samples", "200", "--out", str(path))
+        assert out.returncode == 2
+        assert out.stderr.startswith("error: max_radius 40 is above 14.6")
+        assert not path.exists()
+
     def test_degree_json_spec(self):
         spec = json.dumps({"variant": "punctured_power", "rotation": 0.0, "power": 4})
         out = run_cli("degree", spec)
@@ -286,7 +404,8 @@ class TestCli:
         path = tmp_path / "hp.csv"
         out = run_cli("halfplane", "--n", "10,100", "--out", str(path))
         assert out.returncode == 0
-        rows = list(csv.DictReader(open(path)))
+        with open(path) as fh:
+            rows = list(csv.DictReader(fh))
         assert [r["n"] for r in rows] == ["10", "100"]
 
     def test_convergence_refuses_harmonic(self):

@@ -1,4 +1,6 @@
+import cmath
 import math
+from decimal import Decimal, localcontext
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +19,8 @@ from hypbound import (
     dist_oracle,
     half_sinh_cosh,
 )
+
+from hypbound.models import disc_radius_limit
 
 from conftest import disc_points, random_model_point, upper_points
 
@@ -96,6 +100,43 @@ class TestDist:
     def test_symmetry_upper(self, u, v):
         a, b = dist(u, v), dist(v, u)
         assert abs(a - b) <= 1e-12 * max(1.0, a)
+
+
+def _decimal_disc_dist(u: complex, v: complex) -> float:
+    """acosh(1 + 2|u-v|^2 / ((1-|u|^2)(1-|v|^2))) in 60-digit decimal
+    arithmetic, from the exact values of the two doubles."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        ux, uy, vx, vy = (Decimal(x) for x in (u.real, u.imag, v.real, v.imag))
+        x = 1 + 2 * ((ux - vx) ** 2 + (uy - vy) ** 2) / (
+            (1 - ux * ux - uy * uy) * (1 - vx * vx - vy * vy))
+        return float((x + (x * x - 1).sqrt()).ln())
+
+
+class TestDiscRadiusLimit:
+    @staticmethod
+    def worst_error(radius: float) -> float:
+        # the error peaks for nearly opposite points at the edge, R/2 out
+        r = math.tanh(radius / 4.0)
+        worst = 0.0
+        for i in range(200):
+            t = math.tau * i / 200
+            for dt in (0.0, 0.01, 0.1, 0.5, 2.0):
+                u, v = r * cmath.exp(1j * t), r * cmath.exp(1j * (t + math.pi + dt))
+                d = dist(ModelPoint.disc(u), ModelPoint.disc(v))
+                worst = max(worst, abs(d - _decimal_disc_dist(u, v)))
+        return worst
+
+    def test_default_tolerance_holds_at_the_limit(self):
+        tolerance = 1e-9
+        limit = disc_radius_limit(tolerance)
+        assert 6.0 < limit < 40.0
+        assert self.worst_error(limit) <= tolerance
+        # and the limit is not loose: two units further out the error is above it
+        assert self.worst_error(limit + 2.0) > tolerance
+
+    def test_oracle_agrees_with_closed_form(self):
+        assert abs(_decimal_disc_dist(0.0, 0.5) - LN3) <= 1e-15
 
 
 class TestHalfSinhCosh:

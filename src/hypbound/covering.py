@@ -88,8 +88,12 @@ def degree_contour(f: HoloMap) -> DegreeResult:
         total = 0.0 + 0.0j
         for j in range(panels):
             z = 0.5 * cmath.exp(2j * math.pi * j / panels)
-            # scale-free: z^40 is 9e-13 on this circle and does not vanish
-            if f.value_at(z) == 0 or not cmath.isfinite(ld := f.log_derivative(z)):
+            # f'/f, not f: z^2000 underflows to 0 on this circle but does not vanish
+            try:
+                ld = f.log_derivative(z)
+            except ZeroDivisionError:
+                ld = math.inf
+            if not cmath.isfinite(ld):
                 raise DomainError("map vanishes on the contour")
             total += ld * z
         estimate = total / panels

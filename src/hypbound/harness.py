@@ -4,9 +4,9 @@ half-plane growth, counterexample, and convergence-transfer demos.
 Determinism contract: every sample is rebuilt from (seed, index) through a
 fixed seed-splitting rule, and reports aggregate in index order, so a
 campaign's output is byte-identical across re-runs and any sample replays
-through ``run_sample``. A campaign seeds its samples a block at a time by a
-vectorised port of that rule; ``run_sample`` applies the rule through numpy
-itself and is the scalar reference.
+through ``run_sample``. ``run_sample`` applies the rule through numpy itself
+and is the scalar reference; a campaign seeds its samples through
+``seeding.campaign_seeds``, a vectorised port of the rule.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import numpy as np
 
 from .bounds import check_fixed_point, check_punctured, check_two_point, constant_two_point
 from .covering import _cover, principal_lift
-from .errors import NumericalError, UsageError, ValidationError
+from .errors import HypboundError, NumericalError, UsageError, ValidationError
 from .holomaps import (
     BlaschkeProduct,
     Composition,
@@ -132,143 +132,6 @@ def derive_seeds(seed: int, index: int) -> list:
     is numpy's SeedSequence keyed on the entropy pair (seed, index)."""
     state = np.random.SeedSequence((seed, index)).generate_state(4, np.uint64)
     return [int(s) for s in state]
-
-
-# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx) and
-# the 128-bit PCG64 multiplier, for the block seeder below
-_M32 = 0xFFFFFFFF
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT_HI, _PCG_MULT_LO = 0x2360ED051FC65DA4, 0x4385DF649FCCF645
-# samples seeded per pass; a power of two, so no block straddles 2^32
-_BLOCK = 1024
-
-
-def _words(n: int) -> list:
-    """The uint32 words SeedSequence reads a nonnegative int as, lowest first."""
-    words = [n & _M32]
-    while n > _M32:
-        n >>= 32
-        words.append(n & _M32)
-    return words
-
-
-def _seed_sequence(entropy: list, n_words: int) -> list:
-    """``SeedSequence(e).generate_state(n_words, np.uint64)`` for every
-    entropy e at once: ``entropy`` holds e's uint32 words, lowest first, as
-    uint64 arrays with one entry per e; so does the result."""
-    h = _INIT_A
-
-    def hashmix(value):
-        nonlocal h
-        value = value ^ h
-        h = (h * _MULT_A) & _M32
-        value = (value * h) & _M32
-        return value ^ (value >> 16)
-
-    def mix(x, y):
-        value = (x * _MIX_L - y * _MIX_R) & _M32
-        return value ^ (value >> 16)
-
-    zero = np.zeros_like(entropy[0])
-    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(4)]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[4:]:
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(word))
-    h = _INIT_B
-    out = []
-    for i in range(2 * n_words):
-        value = pool[i % 4] ^ h
-        h = (h * _MULT_B) & _M32
-        value = (value * h) & _M32
-        out.append(value ^ (value >> 16))
-    return [out[2 * k] | (out[2 * k + 1] << 32) for k in range(n_words)]
-
-
-def _add128(a_hi, a_lo, b_hi, b_lo) -> tuple:
-    lo = a_lo + b_lo
-    return a_hi + b_hi + (lo < a_lo), lo
-
-
-def _pcg64_states(children: np.ndarray) -> list:
-    """The PCG64 (state, inc) that ``np.random.default_rng(c)`` starts in, for
-    every child seed c, as the uint64 arrays [state_hi, state_lo, inc_hi,
-    inc_lo]. A seed below 2^32 is one SeedSequence word, which mixes as the
-    pair (c, 0) does. pcg64_set_seed takes inc = 2 i + 1 and state
-    (s + inc) * MULT + inc, modulo 2^128, from the words (s_hi, s_lo, i_hi, i_lo)."""
-    s_hi, s_lo, i_hi, i_lo = _seed_sequence([children & _M32, children >> 32], 4)
-    inc_hi = (i_hi << 1) | (i_lo >> 63)
-    inc_lo = (i_lo << 1) | 1
-    t_hi, t_lo = _add128(s_hi, s_lo, inc_hi, inc_lo)
-    # t * MULT modulo 2^128: the full product of the low words (by 32-bit
-    # halves), then the cross terms, which only reach the high word
-    a0, a1 = t_lo & _M32, t_lo >> 32
-    b0, b1 = _PCG_MULT_LO & _M32, _PCG_MULT_LO >> 32
-    cross0, cross1 = a0 * b1, a1 * b0
-    carry = ((a0 * b0) >> 32) + (cross0 & _M32) + (cross1 & _M32)
-    p_hi = (a1 * b1 + (cross0 >> 32) + (cross1 >> 32) + (carry >> 32)
-            + t_lo * _PCG_MULT_HI + t_hi * _PCG_MULT_LO)
-    st_hi, st_lo = _add128(p_hi, t_lo * _PCG_MULT_LO, inc_hi, inc_lo)
-    return [st_hi, st_lo, inc_hi, inc_lo]
-
-
-def _block_states(seed: int, start: int, stop: int) -> np.ndarray:
-    """For the samples start <= i < stop of one block, the PCG64 states of
-    ``np.random.default_rng(derive_seeds(seed, i)[k])``: an array of shape
-    (stop - start, 4, 4) indexed [i - start, k] by (state_hi, state_lo,
-    inc_hi, inc_lo). The four children of every index go through PCG64
-    seeding as one stacked array."""
-    n = stop - start
-    index = np.arange(start, stop, dtype=np.uint64)
-    entropy = [np.full(n, w, dtype=np.uint64) for w in _words(seed)]
-    entropy += [(index >> np.uint64(32 * j)) & _M32 for j in range(len(_words(start)))]
-    children = np.concatenate(_seed_sequence(entropy, 4))  # child k of i at k n + i - start
-    states = np.stack(_pcg64_states(children)).reshape(4, 4, n)
-    return np.ascontiguousarray(states.transpose(2, 1, 0))
-
-
-class _CampaignSeeds:
-    """The ``seeds`` that ``run_campaign`` hands a runner: entry k is one
-    reused Generator, re-seeded the first time the runner reads it for the
-    sample, into the state ``np.random.default_rng(derive_seeds(seed, i)[k])``
-    starts in. A runner reads each entry at most once per sample. The states
-    are computed ``_BLOCK`` samples at a time."""
-
-    def __init__(self, seed: int, samples: int) -> None:
-        self._seed = seed
-        self._samples = samples
-        self._gens = [np.random.Generator(np.random.PCG64(0)) for _ in range(4)]
-        self._start = 0
-        self._table = np.empty((0, 4, 4), dtype=np.uint64)
-        self._states: list = []
-        self._unread = [False] * 4
-
-    def at(self, index: int) -> "_CampaignSeeds":
-        row = index - self._start
-        if not 0 <= row < len(self._table):
-            self._start = index - index % _BLOCK
-            stop = min(self._start + _BLOCK, self._samples)
-            self._table = _block_states(self._seed, self._start, stop)
-            row = index - self._start
-        self._states = self._table[row].tolist()
-        self._unread = [True] * 4
-        return self
-
-    def __getitem__(self, k: int) -> np.random.Generator:
-        gen = self._gens[k]
-        if self._unread[k]:
-            self._unread[k] = False
-            s_hi, s_lo, i_hi, i_lo = self._states[k]
-            gen.bit_generator.state = {
-                "bit_generator": "PCG64",
-                "state": {"state": (s_hi << 64) | s_lo, "inc": (i_hi << 64) | i_lo},
-                "has_uint32": 0, "uinteger": 0}
-        return gen
 
 
 def _sample_disc_point(rng: np.random.Generator, radius: float) -> ModelPoint:
@@ -391,9 +254,9 @@ def _run_punctured(cfg: CampaignConfig, index: int, seeds) -> BoundReport:
     return report.with_witnesses(seed=cfg.seed, index=index)
 
 
-# A runner builds and checks sample ``index`` from its four seeds: the ints
-# of derive_seeds, or the Generators of _CampaignSeeds. It reads each entry
-# once, through np.random.default_rng or sample_map, which both take either.
+# A runner builds and checks sample ``index`` from its four seeds, the ints
+# of derive_seeds or their stand-ins from seeding.campaign_seeds, each handed
+# to np.random.default_rng or sample_map.
 _RUNNERS: dict[str, Callable[..., BoundReport]] = {
     "two_point": _run_two_point,
     "two_point_sharp": _run_two_point,
@@ -412,9 +275,16 @@ def run_campaign(cfg: CampaignConfig) -> CampaignReport:
     """Evaluate every sample of the configured family against the configured
     bound, in index order. Deterministic in (seed, samples)."""
     start = time.perf_counter()
+    # imported here, as it imports numpy.random, which numpy loads on first use
+    from .seeding import campaign_seeds
+
     runner = _RUNNERS[cfg.theorem]
-    seeds = _CampaignSeeds(cfg.seed, cfg.samples)
-    reports = [runner(cfg, i, seeds.at(i)) for i in range(cfg.samples)]
+    reports = []
+    for i, seeds in enumerate(campaign_seeds(cfg.seed, cfg.samples)):
+        try:
+            reports.append(runner(cfg, i, seeds))
+        except HypboundError as exc:
+            raise type(exc)(f"sample {i} of seed {cfg.seed}: {exc}") from exc
     margins = np.array([r.margin for r in reports])
     stats = {
         "min": float(margins.min()),

@@ -378,11 +378,9 @@ def _disc_uniform(rng: np.random.Generator, radius: float) -> complex:
     return r * cmath.exp(1j * phi)
 
 
-def sample_map(family: str, seed: int | np.random.Generator,
-               params: Optional[dict] = None) -> HoloMap:
+def sample_map(family: str, seed, params: Optional[dict] = None) -> HoloMap:
     """Draw one map from a named family, deterministically in the seed.
-    ``seed`` is an int, or a ``numpy.random.Generator`` that the draws then
-    come from.
+    ``seed`` is any ``np.random.default_rng`` seed.
 
     Families: ``blaschke`` (max_degree), ``disc_automorphism``,
     ``punctured_exp`` (max_power, max_decay), ``near_identity`` (eps).

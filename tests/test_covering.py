@@ -216,9 +216,12 @@ class TestDegreeContour:
             degree_contour(RealPartMap())
 
     @pytest.mark.parametrize("f", [PuncturedExp(0.3, 40, 2.0), PuncturedPower(0.0, 60),
-                                   Composition((PuncturedPower(0.0, 8), PuncturedExp(0.0, 6, 1.0)))])
+                                   Composition((PuncturedPower(0.0, 8), PuncturedExp(0.0, 6, 1.0))),
+                                   PuncturedPower(0.0, 2000),
+                                   Composition((PuncturedPower(0.0, 1), PuncturedPower(0.0, 2000)))])
     def test_high_degree_zero_free_maps(self, f):
-        # |f| is about 0.5**m on the contour, below any absolute threshold
+        # |f| is about 0.5**m on the contour, below any absolute threshold;
+        # from m = 1075 on it underflows to 0, but f'/f = m/z stays finite
         result = degree_contour(f)
         assert result.value == declared_degree(f) and result.residual < 1e-6
 
@@ -240,6 +243,10 @@ class TestDegreeContour:
         for scale, offset in ((1.0, 0.0), (1e-300, 0.0), (1.0, 1e-320)):
             with pytest.raises(DomainError, match="vanishes"):
                 degree_contour(Vanishing(scale, offset))
+        # z^2000 underflows to 0 on the contour, and the outer map's f'/f
+        # divides by that image
+        with pytest.raises(DomainError, match="vanishes"):
+            degree_contour(Composition((PuncturedPower(0.0, 2000), PuncturedPower(0.0, 1))))
 
 
 class TestLifts:

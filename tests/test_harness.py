@@ -21,15 +21,10 @@ from hypbound import (
     run_sample,
 )
 from hypbound.cli import main
-from hypbound.harness import (
-    _BLOCK,
-    _block_states,
-    _CampaignSeeds,
-    _pcg64_states,
-    derive_seeds,
-    write_rows_csv,
-)
+from hypbound.errors import NumericalError
+from hypbound.harness import derive_seeds, write_rows_csv
 from hypbound.holomaps import _uniform
+from hypbound.seeding import BLOCK, ChildSeed, _seed_sequence, block_states, campaign_seeds
 
 from conftest import replayed_campaign
 
@@ -116,7 +111,7 @@ class TestCampaigns:
                     CampaignConfig("punctured", "exp", 100, 8,
                                    family_params={"max_power": 12}),
                     # longer than one seeding block
-                    CampaignConfig("two_point", "mix", _BLOCK + 76, 12)):
+                    CampaignConfig("two_point", "mix", BLOCK + 76, 12)):
             reports = [run_campaign(cfg) for _ in range(3)]
             texts = {r.to_json(include_timing=False) for r in reports}
             assert len(texts) == 1
@@ -158,6 +153,19 @@ class TestCampaigns:
     def test_realpart_unattainable_separation(self):
         # points of (-0.9, 0.9) lie within 4 atanh(0.9) < 6 of each other
         with pytest.raises(UsageError):
+            run_campaign(CampaignConfig("two_point", "realpart", 3, 1, min_sep=10.0))
+
+    def test_failing_sample_is_named(self):
+        # at m near 400 the base-point redraws can run out; the campaign
+        # names the first sample that lost it, which fails the same way alone
+        cfg = CampaignConfig("punctured", "exp", 200, 42, family_params={"max_power": 400})
+        with pytest.raises(NumericalError) as info:
+            run_campaign(cfg)
+        cause = "could not sample a base point with a representable image"
+        assert str(info.value) == f"sample 120 of seed 42: {cause}"
+        with pytest.raises(NumericalError, match=f"^{cause}$"):
+            run_sample(cfg, 120)
+        with pytest.raises(UsageError, match="^sample 0 of seed 1: min_sep is unattainable"):
             run_campaign(CampaignConfig("two_point", "realpart", 3, 1, min_sep=10.0))
 
     def test_punctured_campaign(self):
@@ -203,46 +211,55 @@ class TestCampaigns:
 
 
 class TestBlockSeeding:
+    @staticmethod
+    def assert_same_stream(seed, child):
+        ours, ref = np.random.default_rng(seed), np.random.default_rng(child)
+        assert ours.integers(0, 3) == ref.integers(0, 3)
+        assert ours.random() == ref.random()
+
     @pytest.mark.parametrize("seed", [0, 7, 2 ** 32 + 5, 2 ** 64 + 3, 2 ** 100 + 1])
     def test_generators_match_default_rng(self, seed):
-        # every index of a block and the first ones of the next; integers()
-        # leaves half a 64-bit word buffered, which the next sample must drop
-        samples = _BLOCK + 3
-        seeds = _CampaignSeeds(seed, samples)
-        for index in range(samples):
-            entry = seeds.at(index)
-            for k, child in enumerate(derive_seeds(seed, index)):
-                ref = np.random.default_rng(child)
-                gen = entry[k]
-                assert gen.integers(0, 3) == ref.integers(0, 3)
-                assert gen.random() == ref.random()
+        # every index of a block and the first ones of the next
+        samples = BLOCK + 3
+        for index, seeds in enumerate(campaign_seeds(seed, samples)):
+            for ours, child in zip(seeds, derive_seeds(seed, index), strict=True):
+                self.assert_same_stream(ours, child)
+        assert index == samples - 1
 
-    def test_entry_is_seeded_once_per_sample(self):
-        seeds = _CampaignSeeds(9, 4).at(2)
-        first = seeds[1].random()
-        assert seeds[1].random() != first
-        assert seeds.at(2)[1].random() == first
+    def test_child_seed_replays_like_an_int_child(self):
+        ours = list(campaign_seeds(9, 4))[2][1]
+        child = derive_seeds(9, 2)[1]
+        for seed in (ours, child):
+            first = np.random.default_rng(seed).random()
+            assert np.random.default_rng(seed).random() == first
+        self.assert_same_stream(ours, child)
+
+    def test_child_seed_answers_only_the_pcg64_request(self):
+        ours = next(campaign_seeds(3, 1))[0]
+        want = np.random.SeedSequence(derive_seeds(3, 0)[0]).generate_state(4, np.uint64)
+        assert np.array_equal(ours.generate_state(4, np.uint64), want)
+        for args in ((4,), (4, np.uint32), (2, np.uint64), (8, np.uint64)):
+            with pytest.raises(ValueError):
+                ours.generate_state(*args)
 
     @pytest.mark.parametrize("seed", [7, 2 ** 64 + 3])
     def test_indices_past_two_to_the_32(self, seed):
         # two entropy words per index
         start = 2 ** 32
-        table = _block_states(seed, start, start + 3)
-        for row, states in enumerate(table.tolist()):
-            for child, (s_hi, s_lo, i_hi, i_lo) in zip(derive_seeds(seed, start + row), states):
-                got = {"state": (s_hi << 64) | s_lo, "inc": (i_hi << 64) | i_lo}
-                assert np.random.default_rng(child).bit_generator.state["state"] == got
+        for row, words in enumerate(block_states(seed, start, start + 3)):
+            for child_words, child in zip(words, derive_seeds(seed, start + row), strict=True):
+                got = np.random.default_rng(ChildSeed(child_words)).bit_generator.state
+                assert got == np.random.default_rng(child).bit_generator.state
 
     def test_child_seeds_below_two_to_the_32(self):
         # such a child is one SeedSequence word; sampling meets one about
         # once in 2^32 children, so the array is crafted
         children = [0, 1, 5, 2018, 2 ** 31, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1]
-        s_hi, s_lo, i_hi, i_lo = (a.tolist() for a in
-                                  _pcg64_states(np.array(children, dtype=np.uint64)))
-        for j, child in enumerate(children):
-            want = np.random.default_rng(child).bit_generator.state["state"]
-            assert want == {"state": (s_hi[j] << 64) | s_lo[j],
-                            "inc": (i_hi[j] << 64) | i_lo[j]}
+        c = np.array(children, dtype=np.uint64)
+        words = np.stack(_seed_sequence([c & 0xFFFFFFFF, c >> 32], 4), axis=1)
+        for child_words, child in zip(words, children, strict=True):
+            want = np.random.SeedSequence(child).generate_state(4, np.uint64)
+            assert np.array_equal(child_words, want)
 
     @pytest.mark.parametrize("lo, hi", [
         (0.0, 1.0), (0.0, math.tau), (0.0, 3.0), (0.0, 4.0), (0.0, 2.0),
@@ -351,7 +368,10 @@ class TestCli:
         assert out.returncode == 0
         assert json.loads(out.stdout)["value"] == 2
 
-    @pytest.mark.parametrize("spec, degree", [("exp:m=40", 40), ("power:m=60", 60)])
+    @pytest.mark.parametrize("spec, degree", [
+        ("exp:m=40", 40), ("power:m=60", 60),
+        ("power:m=2000", 2000), ("power:m=1|power:m=2000", 2000),
+    ])
     def test_degree_of_high_powers(self, spec, degree, capsys):
         assert main(["degree", spec]) == 0
         assert json.loads(capsys.readouterr().out)["value"] == degree
@@ -442,6 +462,14 @@ class TestCli:
         assert out.stdout == ""
         assert out.stderr.splitlines() == ["error: family 'automorphism' takes no parameter "
                                            "'max_degree'"]
+
+    def test_verify_names_the_failing_sample(self, tmp_path):
+        path = tmp_path / "report.json"
+        out = run_cli("verify", "--theorem", "punctured", "--family", "exp:m=400",
+                      "--samples", "200", "--out", str(path), timeout=60)
+        assert out.returncode == 2
+        assert out.stderr.startswith("error: sample 120 of seed 42: could not sample")
+        assert not path.exists()
 
     def test_realpart_small_radius_exits(self):
         # |Im z| < tanh(0.025) < 0.1 for every z the sampler can draw

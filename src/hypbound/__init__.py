@@ -44,7 +44,6 @@ from .holomaps import (
     HalfPlaneTranslate,
     HoloMap,
     Identity,
-    MobiusAut,
     PuncturedExp,
     PuncturedPower,
     RealPartMap,

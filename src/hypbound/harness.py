@@ -29,12 +29,12 @@ from .holomaps import (
     Composition,
     HalfPlaneTranslate,
     HoloMap,
-    MobiusAut,
     PuncturedPower,
     RealPartMap,
     _uniform,
     evaluate,
     sample_map,
+    sampler_param,
 )
 from .mobius import build_disc_automorphism
 from .models import TO_UPPER, Model, ModelPoint, _mapply, disc_radius_limit, dist
@@ -76,12 +76,16 @@ class CampaignConfig:
         extra = sorted(set(self.family_params) - params)
         if extra:
             raise UsageError(f"family {self.family!r} takes no parameter {extra[0]!r}")
+        for key in self.family_params:
+            sampler_param(self.family_params, key)
         if self.samples < 1:
             raise UsageError("samples must be >= 1")
         if self.seed < 0:
             raise UsageError("seed must be a nonnegative integer")
-        if self.min_sep <= 0.0 or self.tolerance <= 0.0 or self.max_radius <= 0.0:
-            raise UsageError("min_sep, max_radius and tolerance must be positive")
+        for key in ("min_sep", "max_radius", "tolerance"):
+            value = getattr(self, key)
+            if not 0.0 < value < math.inf:
+                raise UsageError(f"malformed {key}={value!r}: must be finite and > 0")
         # the punctured sampler caps its radius at 4 and measures no disc distance
         limit = disc_radius_limit(self.tolerance)
         if self.theorem != "punctured" and self.max_radius > limit:
@@ -205,7 +209,7 @@ def _run_fixed_point(cfg: CampaignConfig, index: int, seeds) -> BoundReport:
     inner = sample_map("blaschke", seeds[0], {"max_degree": deg})
     fixing_zero = BlaschkeProduct(inner.rotation, (0.0,) + inner.zeros)
     sigma = build_disc_automorphism(b, 0.0)
-    f = Composition((MobiusAut(sigma), fixing_zero, MobiusAut(sigma.inverse())))
+    f = Composition((sigma, fixing_zero, sigma.inverse()))
     report = check_fixed_point(f, a, b, z, tolerance=cfg.tolerance)
     return report.with_witnesses(seed=cfg.seed, index=index)
 
@@ -373,16 +377,13 @@ def _parse_budget(spec: str) -> Callable[[int], float]:
     return lambda n: float(n) ** -p
 
 
-def convergence_demo(budget: str, z: ModelPoint, rows: int = 20, seed: int = 0,
-                     a: Optional[ModelPoint] = None,
-                     b: Optional[ModelPoint] = None) -> list:
-    """Build near-identity maps whose summed displacement at two base points
-    stays within a summable budget, and tabulate the transferred bound at z:
-    each row's displacement at z is at most the two-point constant times the
-    budget, so the series at z converges as well."""
+def convergence_demo(budget: str, z: ModelPoint, rows: int = 20, seed: int = 0) -> list:
+    """Build near-identity maps whose summed displacement at the base points
+    0.3 and -0.3 stays within a summable budget, and tabulate the transferred
+    bound at z: each row's displacement at z is at most the two-point
+    constant times the budget, so the series at z converges as well."""
     budget_fn = _parse_budget(budget)
-    a = a or ModelPoint.disc(0.3)
-    b = b or ModelPoint.disc(-0.3)
+    a, b = ModelPoint.disc(0.3), ModelPoint.disc(-0.3)
     constant = constant_two_point(z, a, b)
     out = []
     partial = 0.0

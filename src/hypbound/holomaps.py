@@ -1,6 +1,6 @@
 """Self-map families of the hyperbolic models: Blaschke products, disc
-automorphisms, half-plane translations, punctured-disc maps of prescribed
-degree, compositions, and the non-holomorphic real-part contraction."""
+automorphisms (``Mobius``), half-plane translations, punctured-disc maps of
+prescribed degree, compositions, and the non-holomorphic real-part contraction."""
 
 from __future__ import annotations
 
@@ -12,51 +12,11 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError, PreconditionError, UsageError, ValidationError
-from .mobius import Mobius, apply, build_disc_automorphism
+from .mobius import HoloMap, Mobius, apply, build_disc_automorphism
 from .models import Model, ModelPoint
 
 
-class HoloMap:
-    """Base class for the map families. Concrete variants implement raw
-    complex evaluation (``value_at``), a closed-form derivative, a JSON
-    round trip and, for punctured-disc maps of declared degree, a
-    closed-form lift. ``contraction_only`` marks variants that contract the
-    metric without being holomorphic; ``self_covering`` marks the maps
-    z -> e^{i t} z^m of the punctured disc."""
-
-    model: Model
-    contraction_only = False
-    self_covering = False
-
-    def value_at(self, z: complex) -> complex:
-        """Raw evaluation, no model validation of argument or image."""
-        raise NotImplementedError
-
-    def _derivative(self, z: complex) -> complex:
-        raise NotImplementedError
-
-    def log_derivative(self, z: complex) -> complex:
-        return self._derivative(z) / self.value_at(z)
-
-    def declared_degree(self) -> Optional[int]:
-        """Analytic degree of a punctured-disc map; None for other maps."""
-        return None
-
-    def lift(self, zeta: complex) -> complex:
-        """A lift L to the upper half-plane of a punctured-disc map f of
-        declared degree: exp(2 pi i L(zeta)) = f(exp(2 pi i zeta)) and
-        L(zeta + 1) = L(zeta) + degree. Any other lift differs by an integer."""
-        raise NotImplementedError
-
-    def to_dict(self) -> dict:
-        raise NotImplementedError
-
-    def __call__(self, p: ModelPoint) -> ModelPoint:
-        return evaluate(self, p)
-
-
-# A self-map is evaluated as a Moebius map is applied: one image check.
-evaluate = apply
+evaluate = apply  # a self-map is evaluated with one image check
 
 
 @dataclass(frozen=True)
@@ -81,27 +41,6 @@ class Identity(HoloMap):
 
     def to_dict(self) -> dict:
         return {"variant": "identity", "model": self.model.value}
-
-
-@dataclass(frozen=True)
-class MobiusAut(HoloMap):
-    """A model-preserving fractional-linear map used as a self-map."""
-
-    mobius: Mobius
-
-    @property
-    def model(self) -> Model:
-        return self.mobius.model
-
-    def value_at(self, z: complex) -> complex:
-        return self.mobius.apply_value(z)
-
-    def _derivative(self, z: complex) -> complex:
-        den = self.mobius.c * z + self.mobius.d
-        return 1.0 / (den * den)  # determinant is 1 after normalization
-
-    def to_dict(self) -> dict:
-        return {"variant": "mobius_automorphism", **self.mobius.to_dict()}
 
 
 @dataclass(frozen=True)
@@ -378,6 +317,26 @@ def _disc_uniform(rng: np.random.Generator, radius: float) -> complex:
     return r * cmath.exp(1j * phi)
 
 
+# the type of each sampler parameter, the range its values must lie in, and
+# that range in words
+_PARAM_RANGES = {
+    "max_degree": (int, lambda v: v >= 1, ">= 1"),
+    "max_power": (int, lambda v: v >= 1, ">= 1"),
+    "max_decay": (float, lambda v: 0.0 <= v < math.inf, "finite and >= 0"),
+    "eps": (float, lambda v: 0.0 < v < math.inf, "finite and > 0"),
+}
+
+
+def sampler_param(params: dict, key: str, default=None):
+    """``params[key]``, or ``default`` when absent, as its type and within
+    its range; a value out of range is a UsageError."""
+    convert, in_range, text = _PARAM_RANGES[key]
+    value = convert(params.get(key, default))
+    if not in_range(value):
+        raise UsageError(f"malformed {key}={value!r}: must be {text}")
+    return value
+
+
 def sample_map(family: str, seed, params: Optional[dict] = None) -> HoloMap:
     """Draw one map from a named family, deterministically in the seed.
     ``seed`` is any ``np.random.default_rng`` seed.
@@ -390,31 +349,24 @@ def sample_map(family: str, seed, params: Optional[dict] = None) -> HoloMap:
     params = params or {}
     rng = np.random.default_rng(seed)
     if family == "blaschke":
-        max_degree = int(params.get("max_degree", 5))
-        if max_degree < 1:
-            raise UsageError("max_degree must be >= 1")
-        degree = int(rng.integers(1, max_degree + 1))
+        degree = int(rng.integers(1, sampler_param(params, "max_degree", 5) + 1))
         zeros = tuple(_disc_uniform(rng, 0.95) for _ in range(degree))
         return BlaschkeProduct(_uniform(rng, 0.0, math.tau), zeros)
     if family == "disc_automorphism":
         center = ModelPoint.disc(_disc_uniform(rng, 0.95))
-        return MobiusAut(build_disc_automorphism(center, _uniform(rng, 0.0, math.tau)))
+        return build_disc_automorphism(center, _uniform(rng, 0.0, math.tau))
     if family == "punctured_exp":
-        max_power = int(params.get("max_power", 4))
-        max_decay = float(params.get("max_decay", 2.0))
-        if max_power < 1 or max_decay < 0.0:
-            raise UsageError("need max_power >= 1 and max_decay >= 0")
+        max_power = sampler_param(params, "max_power", 4)
+        max_decay = sampler_param(params, "max_decay", 2.0)
         power = int(rng.integers(1, max_power + 1))
         return PuncturedExp(_uniform(rng, 0.0, math.tau), power, _uniform(rng, 0.0, max_decay))
     if family == "near_identity":
-        eps = float(params.get("eps", 1e-3))
-        if eps <= 0.0:
-            raise UsageError("eps must be positive")
+        eps = sampler_param(params, "eps", 1e-3)
         # displacement at the origin is 2*atanh(|center|) < eps/4
         r = math.tanh(eps / 8.0) * math.sqrt(_uniform(rng))
         center = ModelPoint.disc(r * cmath.exp(1j * _uniform(rng, 0.0, math.tau)))
         theta = _uniform(rng, -eps / 4.0, eps / 4.0)
-        return MobiusAut(build_disc_automorphism(center, theta))
+        return build_disc_automorphism(center, theta)
     raise UsageError(f"unknown family {family!r}")
 
 
@@ -424,7 +376,7 @@ def map_from_dict(d: dict) -> HoloMap:
     if variant == "identity":
         return Identity(Model(d["model"]))
     if variant == "mobius_automorphism":
-        return MobiusAut(Mobius.from_dict(d))
+        return Mobius.from_dict(d)
     if variant == "blaschke":
         return BlaschkeProduct(float(d["rotation"]),
                                tuple(complex(re, im) for re, im in d["zeros"]))

@@ -1,5 +1,5 @@
-"""Fractional-linear transformations: application, composition, classification,
-fixed points and axes, disc automorphisms, and the axis-displacement bound."""
+"""Self-maps (``HoloMap``, ``apply``) and the fractional-linear ones: composition,
+classification, fixed points and axes, disc automorphisms, the axis bound."""
 
 from __future__ import annotations
 
@@ -29,10 +29,49 @@ def _mmul(m1: tuple, m2: tuple) -> tuple:
             c1 * a2 + d1 * c2, c1 * b2 + d1 * d2)
 
 
+class HoloMap:
+    """Base class for the self-maps of a model. Concrete variants implement
+    raw complex evaluation (``value_at``), a closed-form derivative, a JSON
+    round trip and, for punctured-disc maps of declared degree, a
+    closed-form lift. ``contraction_only`` marks variants that contract the
+    metric without being holomorphic; ``self_covering`` marks the maps
+    z -> e^{i t} z^m of the punctured disc."""
+
+    model: Model
+    contraction_only = False
+    self_covering = False
+
+    def value_at(self, z: complex) -> complex:
+        """Raw evaluation, no model validation of argument or image."""
+        raise NotImplementedError
+
+    def _derivative(self, z: complex) -> complex:
+        raise NotImplementedError
+
+    def log_derivative(self, z: complex) -> complex:
+        return self._derivative(z) / self.value_at(z)
+
+    def declared_degree(self) -> Optional[int]:
+        """Analytic degree of a punctured-disc map; None for other maps."""
+        return None
+
+    def lift(self, zeta: complex) -> complex:
+        """A lift L to the upper half-plane of a punctured-disc map f of
+        declared degree: exp(2 pi i L(zeta)) = f(exp(2 pi i zeta)) and
+        L(zeta + 1) = L(zeta) + degree. Any other lift differs by an integer."""
+        raise NotImplementedError
+
+    def to_dict(self) -> dict:
+        raise NotImplementedError
+
+    def __call__(self, p: ModelPoint) -> ModelPoint:
+        return apply(self, p)
+
+
 @dataclass(frozen=True)
-class Mobius:
-    """A fractional-linear map w -> (a*w + b)/(c*w + d), normalized to
-    determinant 1 on construction, preserving its declared model."""
+class Mobius(HoloMap):
+    """A fractional-linear self-map w -> (a*w + b)/(c*w + d) of its declared
+    model, normalized to determinant 1 on construction."""
 
     a: complex
     b: complex
@@ -74,12 +113,16 @@ class Mobius:
             raise DomainError(f"{z!r} is a pole of the transformation")
         return (self.a * z + self.b) / den
 
-    # the raw-evaluation name of the self-map families, so that ``apply``
-    # serves both
-    value_at = apply_value
+    def value_at(self, z: complex) -> complex:
+        return self.apply_value(z)  # a call, not an alias: a wrapped apply_value sees it
+
+    def _derivative(self, z: complex) -> complex:
+        den = self.c * z + self.d
+        return 1.0 / (den * den)  # determinant is 1 after normalization
 
     def to_dict(self) -> dict:
         return {
+            "variant": "mobius_automorphism",
             "model": self.model.value,
             "matrix": [[w.real, w.imag] for w in self.entries],
         }
@@ -90,9 +133,8 @@ class Mobius:
         return cls(a, b, c, dd, Model(d["model"]))
 
 
-def apply(m, z: ModelPoint) -> ModelPoint:
-    """Apply a model-preserving map to a point of its model: a Mobius map, or
-    any self-map with a ``model`` and a raw ``value_at`` (this is also
+def apply(m: HoloMap, z: ModelPoint) -> ModelPoint:
+    """Apply a self-map to a point of its model (this is also
     ``holomaps.evaluate``). An image more than 1e-12 outside the model is an
     IntegrityError."""
     if z.model is not m.model:

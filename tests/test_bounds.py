@@ -7,7 +7,6 @@ from hypbound import (
     Composition,
     Identity,
     Mobius,
-    MobiusAut,
     Model,
     ModelPoint,
     PreconditionError,
@@ -97,7 +96,7 @@ class TestCheckTwoPoint:
         assert r.theorem == "two_point"
 
     def test_rotation(self):
-        f = MobiusAut(build_disc_automorphism(ModelPoint.disc(0.0), 0.1))
+        f = build_disc_automorphism(ModelPoint.disc(0.0), 0.1)
         r = check_two_point(f, ModelPoint.disc(0.3), ModelPoint.disc(-0.3),
                             ModelPoint.disc(0.5j))
         assert r.margin >= 0.0 and not r.violated
@@ -143,7 +142,7 @@ class TestCheckTwoPoint:
             with_h = check_two_point(f, a, b, z, h=h)
             assert with_h.theorem == "xjb"
             assert not with_h.violated
-            reduced = check_two_point(Composition((f, MobiusAut(h.inverse()))), a, b, z)
+            reduced = check_two_point(Composition((f, h.inverse())), a, b, z)
             assert abs(with_h.lhs - reduced.lhs) <= 1e-9 * max(1.0, with_h.lhs)
             assert abs(with_h.rhs - reduced.rhs) <= 1e-9 * max(1.0, with_h.rhs)
 
@@ -180,7 +179,7 @@ class TestCheckFixedPoint:
             inner = sample_map("blaschke", i, {"max_degree": 3})
             fixing_zero = BlaschkeProduct(inner.rotation, (0.0,) + inner.zeros)
             sigma = build_disc_automorphism(b, 0.0)
-            f = Composition((MobiusAut(sigma), fixing_zero, MobiusAut(sigma.inverse())))
+            f = Composition((sigma, fixing_zero, sigma.inverse()))
             a = random_disc_point(rng)
             z = random_disc_point(rng)
             if dist(a, b) < 0.1:

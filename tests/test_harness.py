@@ -80,6 +80,44 @@ class TestConfig:
             CampaignConfig("two_point", "mix", 10, -3)
         with pytest.raises(UsageError):
             CampaignConfig("two_point", "mix", 10, 1, min_sep=0.0)
+        for theorem, family in (("two_point", "realpart"), ("punctured", "exp")):
+            for key in ("min_sep", "max_radius", "tolerance"):
+                for value in (math.nan, math.inf, -math.inf):
+                    with pytest.raises(UsageError, match=key):
+                        CampaignConfig(theorem, family, 10, 1, **{key: value})
+
+    @pytest.mark.parametrize("theorem, family, params", [
+        ("fixed_point", "fixing", {"max_degree": 0}),
+        ("fixed_point", "fixing", {"max_degree": -5}),
+        ("two_point", "blaschke", {"max_degree": 0}),
+        ("two_point", "mix", {"max_degree": 0}),
+        ("punctured", "exp", {"max_power": 0}),
+        ("punctured", "exp", {"max_decay": -1.0}),
+        ("punctured", "exp", {"max_decay": math.nan}),
+        ("punctured", "exp", {"max_decay": math.inf}),
+    ])
+    def test_out_of_range_family_params_refused(self, theorem, family, params):
+        with pytest.raises(UsageError, match=next(iter(params))):
+            CampaignConfig(theorem, family, 10, 1, family_params=params)
+
+    def test_family_param_range_edges_accepted(self):
+        for theorem, family, params in (("fixed_point", "fixing", {"max_degree": 1}),
+                                        ("two_point", "mix", {"max_degree": 1}),
+                                        ("punctured", "exp", {"max_power": 1, "max_decay": 0.0})):
+            run_campaign(CampaignConfig(theorem, family, 5, 1, family_params=params))
+
+    def test_import_loads_no_numpy_random(self):
+        # numpy loads numpy.random on first use; a campaign loads it when it
+        # runs, so importing hypbound and building a config stay cheap
+        code = ("import sys, hypbound\n"
+                "hypbound.CampaignConfig('two_point', 'mix', 10, 1)\n"
+                "print(sorted(m for m in sys.modules if m.startswith('numpy.random')))")
+        path = [str(Path(hypbound.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             timeout=60, env=env)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "[]"
 
 
 class TestCampaigns:
@@ -447,9 +485,14 @@ class TestCli:
         ["verify", "--theorem", "two_point", "--family", "mix:deg=x"],
         ["verify", "--theorem", "punctured", "--family", "exp:c=x"],
         ["halfplane", "--n", "10,x"],
+        ["verify", "--theorem", "two_point", "--family", "realpart", "--tolerance", "nan"],
+        ["verify", "--theorem", "punctured", "--family", "exp", "--max-radius", "nan"],
+        ["verify", "--theorem", "fixed_point", "--family", "fixing:deg=0"],
+        ["verify", "--theorem", "punctured", "--family", "exp:c=inf"],
     ], ids=["power-no-m", "exp-no-m", "bad-json", "blaschke-no-rotation",
             "composition-bad-map", "exp-m-x",
-            "mix-deg-x", "exp-c-x", "halfplane-n-x"])
+            "mix-deg-x", "exp-c-x", "halfplane-n-x",
+            "tolerance-nan", "max-radius-nan", "fixing-deg-0", "exp-c-inf"])
     def test_malformed_input_is_usage_error(self, argv, capsys):
         assert main(argv) == 2
         err = capsys.readouterr().err
@@ -462,6 +505,16 @@ class TestCli:
         assert out.stdout == ""
         assert out.stderr.splitlines() == ["error: family 'automorphism' takes no parameter "
                                            "'max_degree'"]
+
+    def test_refused_setting_writes_no_report(self, tmp_path):
+        path = tmp_path / "report.json"
+        for setting in (["--theorem", "two_point", "--family", "realpart", "--tolerance", "nan"],
+                        ["--theorem", "fixed_point", "--family", "fixing:deg=0"]):
+            out = run_cli("verify", *setting, "--out", str(path), timeout=30)
+            assert out.returncode == 2
+            assert out.stdout == "" and len(out.stderr.splitlines()) == 1
+            assert out.stderr.startswith("error: malformed ")
+            assert not path.exists()
 
     def test_verify_names_the_failing_sample(self, tmp_path):
         path = tmp_path / "report.json"

@@ -10,7 +10,6 @@ from hypbound import (
     Identity,
     IntegrityError,
     Mobius,
-    MobiusAut,
     Model,
     ModelPoint,
     PreconditionError,
@@ -19,6 +18,7 @@ from hypbound import (
     RealPartMap,
     UsageError,
     ValidationError,
+    apply,
     declared_degree,
     dist,
     evaluate,
@@ -33,7 +33,7 @@ from conftest import random_disc_point, random_punctured_point
 def all_variant_examples():
     return [
         Identity(Model.DISC),
-        MobiusAut(Mobius(1.0, -0.3, -0.3, 1.0, Model.DISC)),
+        Mobius(1.0, -0.3, -0.3, 1.0, Model.DISC),
         BlaschkeProduct(0.7, (0.2 + 0.1j, -0.4j, 0.5)),
         HalfPlaneTranslate(0.25),
         PuncturedPower(1.1, 2),
@@ -70,7 +70,7 @@ class TestEvaluate:
 
     def test_escaping_image(self):
         # w -> 2w is not a self-map of the disc: 0.9 goes to 1.8
-        f = MobiusAut(Mobius(2.0, 0.0, 0.0, 1.0, Model.DISC))
+        f = Mobius(2.0, 0.0, 0.0, 1.0, Model.DISC)
         with pytest.raises(IntegrityError):
             evaluate(f, ModelPoint.disc(0.9))
 
@@ -167,7 +167,7 @@ class TestSchwarzQuotient:
         assert abs(g.value_at(0.0) + 0.5) <= 1e-12
 
     def test_linear_scaling(self):
-        f = MobiusAut(Mobius(0.3, 0.0, 0.0, 1.0, Model.DISC))  # w -> 0.3 w
+        f = Mobius(0.3, 0.0, 0.0, 1.0, Model.DISC)  # w -> 0.3 w
         g = schwarz_quotient(f)
         assert abs(g.value_at(0.0) - 0.3) <= 1e-12
         assert abs(g.value_at(0.6j) - 0.3) <= 1e-12
@@ -221,6 +221,19 @@ class TestSampleMap:
         with pytest.raises(UsageError):
             sample_map("quadratic", 1)
 
+    @pytest.mark.parametrize("family, params", [
+        ("blaschke", {"max_degree": 0}),
+        ("punctured_exp", {"max_power": 0}),
+        ("punctured_exp", {"max_decay": -1.0}),
+        ("punctured_exp", {"max_decay": math.nan}),
+        ("punctured_exp", {"max_decay": math.inf}),
+        ("near_identity", {"eps": 0.0}),
+        ("near_identity", {"eps": math.nan}),
+    ])
+    def test_out_of_range_params_refused(self, family, params):
+        with pytest.raises(UsageError, match=next(iter(params))):
+            sample_map(family, 1, params)
+
 
 class TestDeclaredDegree:
     def test_power(self):
@@ -246,6 +259,31 @@ class TestSerialization:
             for _ in range(20):
                 z = sample_point_for(f, rng).value
                 assert abs(g.value_at(z) - f.value_at(z)) <= 1e-13
+
+    def test_mobius_dict_is_pinned(self):
+        m = Mobius(1.25, 0.75, 0.75, 1.25, Model.DISC)  # determinant 1 already
+        assert m.to_dict() == {"variant": "mobius_automorphism", "model": "disc",
+                               "matrix": [[1.25, 0.0], [0.75, 0.0], [0.75, 0.0], [1.25, 0.0]]}
+
+    def test_sampled_automorphisms_are_mobius_maps(self):
+        for family in ("disc_automorphism", "near_identity"):
+            for seed in range(10):
+                m = sample_map(family, seed)
+                assert isinstance(m, Mobius)
+                g = map_from_dict(m.to_dict())
+                assert isinstance(g, Mobius) and g.model is Model.DISC
+                for x, y in zip(m.entries, g.entries):  # renormalized: a few ulps
+                    assert abs(x - y) <= 1e-14 * (1.0 + abs(x))
+
+    def test_mobius_call_is_apply(self, rng):
+        m = sample_map("disc_automorphism", 3)
+        for _ in range(20):
+            p = random_disc_point(rng)
+            assert m(p) == apply(m, p) == evaluate(m, p)
+        # the closed-form derivative against a central difference
+        z, h = 0.3j, 1e-6
+        slope = (m.value_at(z + h) - m.value_at(z - h)) / (2.0 * h)
+        assert abs(m._derivative(z) - slope) <= 1e-8
 
     def test_unknown_variant(self):
         with pytest.raises(UsageError):

@@ -12,7 +12,7 @@ from .errors import PreconditionError
 from .holomaps import HoloMap, evaluate, reference_degree
 from .mobius import Mobius, apply, is_isometry
 from .models import ModelPoint, density_punctured, dist
-from .report import DEFAULT_TOLERANCE, BoundReport
+from .report import DEFAULT_TOLERANCE, BoundReport, Sides
 
 MIN_SEPARATION = 1e-9
 
@@ -51,6 +51,12 @@ def check_two_point(f: HoloMap, a: ModelPoint, b: ModelPoint, z: ModelPoint,
     identity when absent. Holomorphic maps never violate it; the real-part
     contraction is accepted so the designed counterexample runs through the
     same path."""
+    return two_point_sides(f, a, b, z, h, sharp).report(tolerance)
+
+
+def two_point_sides(f: HoloMap, a: ModelPoint, b: ModelPoint, z: ModelPoint,
+                    h: Optional[Mobius] = None, sharp: bool = False) -> Sides:
+    """The sides of ``check_two_point``, unreported."""
     constant = constant_two_point(z, a, b, sharp=sharp)
     if h is None:
         hz, ha, hb = z, a, b
@@ -64,16 +70,21 @@ def check_two_point(f: HoloMap, a: ModelPoint, b: ModelPoint, z: ModelPoint,
         tag = "xjb"
     lhs = dist(evaluate(f, z), hz)
     rhs = constant * (dist(evaluate(f, a), ha) + dist(evaluate(f, b), hb))
-    witnesses = {"f": f.to_dict(), "a": a.to_dict(), "b": b.to_dict(), "z": z.to_dict()}
+    inputs = {"f": f, "a": a, "b": b, "z": z}
     if h is not None:
-        witnesses["h"] = h.to_dict()
-    return BoundReport.build(tag, lhs, rhs, constant, witnesses, tolerance)
+        inputs["h"] = h
+    return Sides(tag, lhs, rhs, constant, inputs)
 
 
 def check_fixed_point(f: HoloMap, a: ModelPoint, b: ModelPoint, z: ModelPoint,
                       tolerance: float = DEFAULT_TOLERANCE) -> BoundReport:
     """Check d(f(z), z) <= M * d(f(a), a) for a map fixing b, with
     M = exp(d(a,z) + d(z,b)) / (4 sinh(d(a,b)/2)); M is always above 1."""
+    return fixed_point_sides(f, a, b, z).report(tolerance)
+
+
+def fixed_point_sides(f: HoloMap, a: ModelPoint, b: ModelPoint, z: ModelPoint) -> Sides:
+    """The sides of ``check_fixed_point``, unreported."""
     dab = _separation(a, b)
     drift = dist(evaluate(f, b), b)
     if drift > 1e-10:
@@ -81,8 +92,7 @@ def check_fixed_point(f: HoloMap, a: ModelPoint, b: ModelPoint, z: ModelPoint,
     constant = math.exp(dist(a, z) + dist(z, b)) / (4.0 * math.sinh(0.5 * dab))
     lhs = dist(evaluate(f, z), z)
     rhs = constant * dist(evaluate(f, a), a)
-    witnesses = {"f": f.to_dict(), "a": a.to_dict(), "b": b.to_dict(), "z": z.to_dict()}
-    return BoundReport.build("fixed_point", lhs, rhs, constant, witnesses, tolerance)
+    return Sides("fixed_point", lhs, rhs, constant, {"f": f, "a": a, "b": b, "z": z})
 
 
 def check_punctured(f: HoloMap, h: HoloMap, a: ModelPoint, z: ModelPoint,
@@ -90,11 +100,14 @@ def check_punctured(f: HoloMap, h: HoloMap, a: ModelPoint, z: ModelPoint,
     """Check d*(f(z), h(z)) <= L^3 * d*(f(a), h(a)) on the punctured disc for
     a self-covering reference h of the same positive degree, where
     L = 8 * density(a) * exp(d*(z, a))."""
+    return punctured_sides(f, h, a, z).report(tolerance)
+
+
+def punctured_sides(f: HoloMap, h: HoloMap, a: ModelPoint, z: ModelPoint) -> Sides:
+    """The sides of ``check_punctured``, unreported."""
     reference_degree(f, h)
     growth = 8.0 * density_punctured(a) * math.exp(punctured_dist(z, a))
     constant = growth ** 3
     lhs = punctured_dist(evaluate(f, z), evaluate(h, z))
     rhs = constant * punctured_dist(evaluate(f, a), evaluate(h, a))
-    witnesses = {"f": f.to_dict(), "h": h.to_dict(), "a": a.to_dict(), "z": z.to_dict(),
-                 "L": growth}
-    return BoundReport.build("punctured", lhs, rhs, constant, witnesses, tolerance)
+    return Sides("punctured", lhs, rhs, constant, {"f": f, "h": h, "a": a, "z": z, "L": growth})

@@ -17,11 +17,13 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Callable, Optional
 
 import numpy as np
 
-from .bounds import check_fixed_point, check_punctured, check_two_point, constant_two_point
+from .bounds import (check_two_point, constant_two_point, fixed_point_sides, punctured_sides,
+                     two_point_sides)
 from .covering import _cover, principal_lift
 from .errors import HypboundError, NumericalError, UsageError, ValidationError
 from .holomaps import (
@@ -31,14 +33,13 @@ from .holomaps import (
     HoloMap,
     PuncturedPower,
     RealPartMap,
-    _uniform,
     evaluate,
     sample_map,
     sampler_param,
 )
 from .mobius import build_disc_automorphism
 from .models import TO_UPPER, Model, ModelPoint, _mapply, disc_radius_limit, dist
-from .report import BoundReport, fmt17
+from .report import BoundReport, Sides, fmt17
 
 SCHEMA_VERSION = 1
 
@@ -138,10 +139,17 @@ def derive_seeds(seed: int, index: int) -> list:
     return [int(s) for s in state]
 
 
-def _sample_disc_point(rng: np.random.Generator, radius: float) -> ModelPoint:
+def _uniforms(rng: np.random.Generator) -> Callable[..., float]:
+    """``rng.uniform(lo, hi)``, in order and bit for bit, read from blocks of
+    ``rng.random(16)``, which yield what 16 scalar ``rng.random()`` calls would."""
+    draw = chain.from_iterable(iter(lambda: rng.random(16).tolist(), None)).__next__
+    return lambda lo=0.0, hi=1.0: lo + (hi - lo) * draw()
+
+
+def _sample_disc_point(uniform: Callable[..., float], radius: float) -> ModelPoint:
     # uniform hyperbolic radius up to ``radius`` about the origin
-    r = _uniform(rng, 0.0, radius)
-    phi = _uniform(rng, 0.0, math.tau)
+    r = uniform(0.0, radius)
+    phi = uniform(0.0, math.tau)
     return ModelPoint.disc(math.tanh(r / 2.0) * cmath.exp(1j * phi))
 
 
@@ -174,35 +182,33 @@ def _draw_disc_map(cfg: CampaignConfig, seeds) -> HoloMap:
     ))
 
 
-def _run_two_point(cfg: CampaignConfig, index: int, seeds) -> BoundReport:
-    rng = np.random.default_rng(seeds[1])
+def _run_two_point(cfg: CampaignConfig, index: int, seeds) -> Sides:
+    uniform = _uniforms(np.random.default_rng(seeds[1]))
     half = cfg.max_radius / 2.0  # pairwise separations stay within max_radius
     f = _draw_disc_map(cfg, seeds)
     if cfg.family == "realpart":
         # real base points are fixed by Re, so the right side collapses to 0
-        a = ModelPoint.disc(_uniform(rng, -0.9, 0.9))
-        b = _separated(lambda: ModelPoint.disc(_uniform(rng, -0.9, 0.9)), a, cfg.min_sep)
+        a = ModelPoint.disc(uniform(-0.9, 0.9))
+        b = _separated(lambda: ModelPoint.disc(uniform(-0.9, 0.9)), a, cfg.min_sep)
         for _ in range(200):
-            z = _sample_disc_point(rng, half)
+            z = _sample_disc_point(uniform, half)
             if abs(z.value.imag) >= 0.1:
                 break
         else:
             raise UsageError("max_radius is too small to sample z with |Im z| >= 0.1")
     else:
-        a = _sample_disc_point(rng, half)
-        b = _separated(lambda: _sample_disc_point(rng, half), a, cfg.min_sep)
-        z = _sample_disc_point(rng, half)
-    sharp = cfg.theorem == "two_point_sharp"
-    report = check_two_point(f, a, b, z, sharp=sharp, tolerance=cfg.tolerance)
-    return report.with_witnesses(seed=cfg.seed, index=index)
+        a = _sample_disc_point(uniform, half)
+        b = _separated(lambda: _sample_disc_point(uniform, half), a, cfg.min_sep)
+        z = _sample_disc_point(uniform, half)
+    return two_point_sides(f, a, b, z, sharp=cfg.theorem == "two_point_sharp")
 
 
-def _run_fixed_point(cfg: CampaignConfig, index: int, seeds) -> BoundReport:
-    rng = np.random.default_rng(seeds[1])
+def _run_fixed_point(cfg: CampaignConfig, index: int, seeds) -> Sides:
+    uniform = _uniforms(np.random.default_rng(seeds[1]))
     half = cfg.max_radius / 2.0
-    b = _sample_disc_point(rng, half)
-    a = _separated(lambda: _sample_disc_point(rng, half), b, cfg.min_sep)
-    z = _sample_disc_point(rng, half)
+    b = _sample_disc_point(uniform, half)
+    a = _separated(lambda: _sample_disc_point(uniform, half), b, cfg.min_sep)
+    z = _sample_disc_point(uniform, half)
     # conjugate w * B(w) (a Blaschke product with an extra zero at 0, hence
     # fixing 0) by the automorphism exchanging 0 and b
     deg = max(1, int(cfg.family_params.get("max_degree", 4)) - 1)
@@ -210,18 +216,17 @@ def _run_fixed_point(cfg: CampaignConfig, index: int, seeds) -> BoundReport:
     fixing_zero = BlaschkeProduct(inner.rotation, (0.0,) + inner.zeros)
     sigma = build_disc_automorphism(b, 0.0)
     f = Composition((sigma, fixing_zero, sigma.inverse()))
-    report = check_fixed_point(f, a, b, z, tolerance=cfg.tolerance)
-    return report.with_witnesses(seed=cfg.seed, index=index)
+    return fixed_point_sides(f, a, b, z)
 
 
-def _punctured_base_point(rng: np.random.Generator, f: HoloMap) -> ModelPoint:
+def _punctured_base_point(uniform: Callable[..., float], f: HoloMap) -> ModelPoint:
     # log-uniform modulus in [0.05, 0.95]: the density stays well below 1e3.
     # A base point is redrawn exactly when ModelPoint refuses f(a) (high
     # powers crush small moduli); the reference e^{it} z^m has
     # |h(a)| >= |f(a)|, so h(a) needs no check.
     for _ in range(500):
-        r = math.exp(_uniform(rng, math.log(0.05), math.log(0.95)))
-        a = r * cmath.exp(1j * _uniform(rng, 0.0, math.tau))
+        r = math.exp(uniform(math.log(0.05), math.log(0.95)))
+        a = r * cmath.exp(1j * uniform(0.0, math.tau))
         try:
             ModelPoint.punctured(f.value_at(a))
         except ValidationError:
@@ -230,38 +235,36 @@ def _punctured_base_point(rng: np.random.Generator, f: HoloMap) -> ModelPoint:
     raise NumericalError("could not sample a base point with a representable image")
 
 
-def _punctured_nearby_point(rng: np.random.Generator, a: ModelPoint,
+def _punctured_nearby_point(uniform: Callable[..., float], a: ModelPoint,
                             radius: float, f: HoloMap) -> ModelPoint:
     # transport a disc sample to the hyperbolic ball around the principal
     # lift of a, then project; rejection keeps the point and its image under
     # the drawn map representable (high powers crush small moduli)
     lift = principal_lift(a).value
     for _ in range(500):
-        r = _uniform(rng, 0.0, radius)
-        w = math.tanh(r / 2.0) * cmath.exp(1j * _uniform(rng, 0.0, math.tau))
+        r = uniform(0.0, radius)
+        w = math.tanh(r / 2.0) * cmath.exp(1j * uniform(0.0, math.tau))
         z = _cover(lift.real + lift.imag * _mapply(TO_UPPER[Model.DISC], w))
         if 1e-6 < abs(z) < 1.0 - 1e-8 and abs(f.value_at(z)) > 1e-12:
             return ModelPoint.punctured(z)
     raise NumericalError("could not sample a representable nearby point")
 
 
-def _run_punctured(cfg: CampaignConfig, index: int, seeds) -> BoundReport:
-    rng = np.random.default_rng(seeds[1])
+def _run_punctured(cfg: CampaignConfig, index: int, seeds) -> Sides:
+    uniform = _uniforms(np.random.default_rng(seeds[1]))
     f = sample_map("punctured_exp", seeds[0], {
         "max_power": int(cfg.family_params.get("max_power", 4)),
         "max_decay": float(cfg.family_params.get("max_decay", 2.0)),
     })
-    h = PuncturedPower(_uniform(rng, 0.0, math.tau), f.power)
-    a = _punctured_base_point(rng, f)
-    z = _punctured_nearby_point(rng, a, min(4.0, cfg.max_radius), f)
-    report = check_punctured(f, h, a, z, tolerance=cfg.tolerance)
-    return report.with_witnesses(seed=cfg.seed, index=index)
+    h = PuncturedPower(uniform(0.0, math.tau), f.power)
+    a = _punctured_base_point(uniform, f)
+    z = _punctured_nearby_point(uniform, a, min(4.0, cfg.max_radius), f)
+    return punctured_sides(f, h, a, z)
 
 
-# A runner builds and checks sample ``index`` from its four seeds, the ints
-# of derive_seeds or their stand-ins from seeding.campaign_seeds, each handed
-# to np.random.default_rng or sample_map.
-_RUNNERS: dict[str, Callable[..., BoundReport]] = {
+# A runner draws sample ``index`` from its four seeds (the ints of derive_seeds,
+# or their seeding.campaign_seeds stand-ins) and returns the sides of its bound.
+_RUNNERS: dict[str, Callable[..., Sides]] = {
     "two_point": _run_two_point,
     "two_point_sharp": _run_two_point,
     "fixed_point": _run_fixed_point,
@@ -272,31 +275,31 @@ _RUNNERS: dict[str, Callable[..., BoundReport]] = {
 def run_sample(cfg: CampaignConfig, index: int) -> BoundReport:
     """Rebuild and re-check the single sample ``index`` of a campaign; the
     scalar reference for the block-seeded ``run_campaign``."""
-    return _RUNNERS[cfg.theorem](cfg, index, derive_seeds(cfg.seed, index))
+    sides = _RUNNERS[cfg.theorem](cfg, index, derive_seeds(cfg.seed, index))
+    return sides.report(cfg.tolerance, seed=cfg.seed, index=index)
 
 
 def run_campaign(cfg: CampaignConfig) -> CampaignReport:
     """Evaluate every sample of the configured family against the configured
-    bound, in index order. Deterministic in (seed, samples)."""
+    bound, in index order. Deterministic in (seed, samples). Only violating
+    samples are reported, as ``run_sample`` reports them."""
     start = time.perf_counter()
     # imported here, as it imports numpy.random, which numpy loads on first use
     from .seeding import campaign_seeds
 
     runner = _RUNNERS[cfg.theorem]
-    reports = []
+    margins, violations = [], []
     for i, seeds in enumerate(campaign_seeds(cfg.seed, cfg.samples)):
         try:
-            reports.append(runner(cfg, i, seeds))
+            sides = runner(cfg, i, seeds)
         except HypboundError as exc:
             raise type(exc)(f"sample {i} of seed {cfg.seed}: {exc}") from exc
-    margins = np.array([r.margin for r in reports])
-    stats = {
-        "min": float(margins.min()),
-        "median": float(np.median(margins)),
-        "p99": float(np.percentile(margins, 99)),
-        "max": float(margins.max()),
-    }
-    violations = [r for r in reports if r.violated]
+        margins.append(sides.margin)
+        if margins[-1] < -cfg.tolerance:
+            violations.append(sides.report(cfg.tolerance, seed=cfg.seed, index=i))
+    margins = np.array(margins)
+    stats = {"min": float(margins.min()), "median": float(np.median(margins)),
+             "p99": float(np.percentile(margins, 99)), "max": float(margins.max())}
     return CampaignReport(cfg, violations, stats, time.perf_counter() - start)
 
 
@@ -304,10 +307,12 @@ def halfplane_growth(n_values) -> list:
     """For the translations w -> w + 1/n^2 of the right half-plane, tabulate
     the displacement at 1/n against the displacement at 1, whose quotient
     grows like exp of the distance between the evaluation points."""
+    n_values = [int(n) for n in n_values]
+    if not n_values:
+        raise UsageError("no n values: nothing to tabulate")
     rows = []
     anchor = ModelPoint.right(1.0)
     for n in n_values:
-        n = int(n)
         if n < 2:
             raise UsageError("n must be at least 2")
         f = HalfPlaneTranslate(1.0 / n ** 2)
@@ -329,12 +334,14 @@ def counterexample_demo(pairs: int = 1000, seed: int = 0) -> CampaignReport:
     (the right side is zero while the left side is not)."""
     start = time.perf_counter()
     f = RealPartMap()
-    rng = np.random.default_rng(derive_seeds(seed, 0)[0])
+    if pairs < 1:
+        raise UsageError("pairs must be >= 1")
+    uniform = _uniforms(np.random.default_rng(derive_seeds(seed, 0)[0]))
     failures = 0
     min_margin = math.inf
     for _ in range(pairs):
-        u = _sample_disc_point(rng, 3.0)
-        v = _sample_disc_point(rng, 3.0)
+        u = _sample_disc_point(uniform, 3.0)
+        v = _sample_disc_point(uniform, 3.0)
         margin = dist(u, v) - dist(evaluate(f, u), evaluate(f, v))
         min_margin = min(min_margin, margin)
         if margin < -1e-9:
@@ -383,6 +390,8 @@ def convergence_demo(budget: str, z: ModelPoint, rows: int = 20, seed: int = 0) 
     bound at z: each row's displacement at z is at most the two-point
     constant times the budget, so the series at z converges as well."""
     budget_fn = _parse_budget(budget)
+    if rows < 1:
+        raise UsageError("rows must be >= 1")
     a, b = ModelPoint.disc(0.3), ModelPoint.disc(-0.3)
     constant = constant_two_point(z, a, b)
     out = []

@@ -305,16 +305,9 @@ def reference_degree(f: HoloMap, h: HoloMap) -> int:
     return mf
 
 
-def _uniform(rng: np.random.Generator, lo: float = 0.0, hi: float = 1.0) -> float:
-    """rng.uniform(lo, hi), bit for bit, by numpy's own formula; a third of
-    the cost of the scalar call."""
-    return lo + (hi - lo) * rng.random()
-
-
-def _disc_uniform(rng: np.random.Generator, radius: float) -> complex:
-    r = radius * math.sqrt(_uniform(rng))
-    phi = _uniform(rng, 0.0, math.tau)
-    return r * cmath.exp(1j * phi)
+def _disc_point(radius: float, u: float, v: float) -> complex:
+    # area-uniform in the disc of Euclidean ``radius`` for uniform u and v
+    return radius * math.sqrt(u) * cmath.exp(1j * (math.tau * v))
 
 
 # the type of each sampler parameter, the range its values must lie in, and
@@ -348,25 +341,28 @@ def sample_map(family: str, seed, params: Optional[dict] = None) -> HoloMap:
     """
     params = params or {}
     rng = np.random.default_rng(seed)
+    # each family draws its integers first, then all its uniforms in one call
     if family == "blaschke":
         degree = int(rng.integers(1, sampler_param(params, "max_degree", 5) + 1))
-        zeros = tuple(_disc_uniform(rng, 0.95) for _ in range(degree))
-        return BlaschkeProduct(_uniform(rng, 0.0, math.tau), zeros)
+        u = rng.random(2 * degree + 1).tolist()
+        zeros = tuple(_disc_point(0.95, u[k], u[k + 1]) for k in range(0, 2 * degree, 2))
+        return BlaschkeProduct(math.tau * u[-1], zeros)
     if family == "disc_automorphism":
-        center = ModelPoint.disc(_disc_uniform(rng, 0.95))
-        return build_disc_automorphism(center, _uniform(rng, 0.0, math.tau))
+        u = rng.random(3).tolist()
+        return build_disc_automorphism(ModelPoint.disc(_disc_point(0.95, *u[:2])), math.tau * u[2])
     if family == "punctured_exp":
         max_power = sampler_param(params, "max_power", 4)
         max_decay = sampler_param(params, "max_decay", 2.0)
         power = int(rng.integers(1, max_power + 1))
-        return PuncturedExp(_uniform(rng, 0.0, math.tau), power, _uniform(rng, 0.0, max_decay))
+        u = rng.random(2).tolist()
+        return PuncturedExp(math.tau * u[0], power, max_decay * u[1])
     if family == "near_identity":
         eps = sampler_param(params, "eps", 1e-3)
+        u = rng.random(3).tolist()
         # displacement at the origin is 2*atanh(|center|) < eps/4
-        r = math.tanh(eps / 8.0) * math.sqrt(_uniform(rng))
-        center = ModelPoint.disc(r * cmath.exp(1j * _uniform(rng, 0.0, math.tau)))
-        theta = _uniform(rng, -eps / 4.0, eps / 4.0)
-        return build_disc_automorphism(center, theta)
+        center = ModelPoint.disc(_disc_point(math.tanh(eps / 8.0), u[0], u[1]))
+        lo = -eps / 4.0  # the angle is uniform in [-eps/4, eps/4), as lo + (hi - lo) u
+        return build_disc_automorphism(center, lo + (eps / 4.0 - lo) * u[2])
     raise UsageError(f"unknown family {family!r}")
 
 

@@ -10,7 +10,7 @@ from typing import Optional
 
 from .errors import DomainError, IntegrityError, NumericalError, PreconditionError, ValidationError
 from .models import TO_UPPER, Model, ModelPoint, _adjugate, _mapply, convert, dist, model_excess
-from .report import DEFAULT_TOLERANCE, BoundReport
+from .report import DEFAULT_TOLERANCE, BoundReport, Sides
 
 # Boundary fixed point at infinity (never wrapped in a ModelPoint).
 INF = complex(math.inf, 0.0)
@@ -336,12 +336,10 @@ def qlo_bound(w: ModelPoint, c: ModelPoint, h: Mobius,
     growth = math.exp(dist(w, c))
     rhs = growth * base
     w_axis = dist_to_axis(w, cls.axis, h.model)
-    witnesses = {
-        "w": w.to_dict(),
-        "c": c.to_dict(),
-        "h": h.to_dict(),
+    inputs = {
+        "w": w, "c": c, "h": h,
         "axis_distance": w_axis,
         "identity_lhs": math.sinh(0.5 * lhs),
         "identity_rhs": math.cosh(w_axis) * math.sinh(0.5 * base),
     }
-    return BoundReport.build("qlo", lhs, rhs, growth, witnesses, tolerance)
+    return Sides("qlo", lhs, rhs, growth, inputs).report(tolerance)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, NamedTuple
 
 from .errors import ValidationError
 
@@ -34,19 +34,6 @@ class BoundReport:
         if self.theorem not in THEOREM_TAGS:
             raise ValidationError(f"unknown theorem tag {self.theorem!r}")
 
-    @classmethod
-    def build(cls, theorem: str, lhs: float, rhs: float, constant: float,
-              witnesses: dict, tolerance: float = DEFAULT_TOLERANCE) -> "BoundReport":
-        margin = rhs - lhs
-        return cls(theorem=theorem, lhs=lhs, rhs=rhs, constant=constant,
-                   margin=margin, witnesses=witnesses, violated=margin < -tolerance)
-
-    def with_witnesses(self, **extra: Any) -> "BoundReport":
-        merged = dict(self.witnesses)
-        merged.update(extra)
-        return BoundReport(self.theorem, self.lhs, self.rhs, self.constant,
-                           self.margin, merged, self.violated)
-
     def to_dict(self) -> dict:
         return {
             "theorem": self.theorem,
@@ -57,3 +44,23 @@ class BoundReport:
             "violated": self.violated,
             "witnesses": self.witnesses,
         }
+
+
+class Sides(NamedTuple):
+    """An inequality evaluated, unreported: sides, constant, unserialised witnesses."""
+
+    theorem: str
+    lhs: float
+    rhs: float
+    constant: float
+    inputs: dict
+
+    @property
+    def margin(self) -> float:
+        return self.rhs - self.lhs
+
+    def report(self, tolerance: float = DEFAULT_TOLERANCE, **extra: Any) -> BoundReport:
+        """The report, with every input serialised and ``extra`` added."""
+        witnesses = {k: v if isinstance(v, float) else v.to_dict() for k, v in self.inputs.items()}
+        return BoundReport(self.theorem, self.lhs, self.rhs, self.constant, self.margin,
+                           {**witnesses, **extra}, self.margin < -tolerance)

@@ -11,7 +11,10 @@ import pytest
 
 import hypbound
 from hypbound import (
+    BlaschkeProduct,
     CampaignConfig,
+    Composition,
+    Mobius,
     ModelPoint,
     UsageError,
     convergence_demo,
@@ -22,8 +25,8 @@ from hypbound import (
 )
 from hypbound.cli import main
 from hypbound.errors import NumericalError
-from hypbound.harness import derive_seeds, write_rows_csv
-from hypbound.holomaps import _uniform
+from hypbound.harness import (_sample_disc_point, _separated, _uniforms, derive_seeds,
+                              write_rows_csv)
 from hypbound.seeding import BLOCK, ChildSeed, _seed_sequence, block_states, campaign_seeds
 
 from conftest import replayed_campaign
@@ -149,7 +152,9 @@ class TestCampaigns:
                     CampaignConfig("punctured", "exp", 100, 8,
                                    family_params={"max_power": 12}),
                     # longer than one seeding block
-                    CampaignConfig("two_point", "mix", BLOCK + 76, 12)):
+                    CampaignConfig("two_point", "mix", BLOCK + 76, 12),
+                    # clean and violating samples mixed
+                    CampaignConfig("two_point", "realpart", 200, 7, tolerance=1.0)):
             reports = [run_campaign(cfg) for _ in range(3)]
             texts = {r.to_json(include_timing=False) for r in reports}
             assert len(texts) == 1
@@ -158,6 +163,27 @@ class TestCampaigns:
             assert ([v.to_dict() for v in replay.violations]
                     == [v.to_dict() for v in reports[0].violations])
             assert replay.to_json(include_timing=False) in texts
+
+    def test_mixed_campaign_reports_only_its_violations(self):
+        cfg = CampaignConfig("two_point", "realpart", 200, 7, tolerance=1.0)
+        report = run_campaign(cfg)
+        assert len(report.violations) == 126
+        assert [v.witnesses["index"] for v in report.violations] == [
+            i for i in range(cfg.samples) if run_sample(cfg, i).violated]
+
+    def test_clean_campaign_serialises_no_witness(self, monkeypatch):
+        # a clean sample leaves only its margin: no map or point is serialised
+        calls = []
+        for cls in (ModelPoint, BlaschkeProduct, Composition, Mobius):
+            def counted(self, _to_dict=cls.to_dict):
+                calls.append(type(self).__name__)
+                return _to_dict(self)
+            monkeypatch.setattr(cls, "to_dict", counted)
+        cfg = CampaignConfig("two_point", "mix", 500, 21)
+        assert run_campaign(cfg).violations == []
+        assert calls == []
+        run_sample(cfg, 0)  # the counters see a full report's witnesses
+        assert "ModelPoint" in calls
 
     def test_rerun_identical(self):
         cfg = CampaignConfig("fixed_point", "fixing", 100, 5)
@@ -304,9 +330,30 @@ class TestBlockSeeding:
         (-0.9, 0.9), (math.log(0.05), math.log(0.95)), (-2.5e-4, 2.5e-4),
     ])
     def test_uniform_helper_is_generator_uniform(self, lo, hi):
-        ours, ref = np.random.default_rng(31), np.random.default_rng(31)
-        got = np.array([_uniform(ours, lo, hi) for _ in range(10 ** 5)])
+        uniform, ref = _uniforms(np.random.default_rng(31)), np.random.default_rng(31)
+        got = np.array([uniform(lo, hi) for _ in range(10 ** 5)])
         assert np.array_equal(got, ref.uniform(lo, hi, 10 ** 5))
+
+    def test_uniform_reader_across_refills(self):
+        # ranges change from draw to draw, across five refills of 16 doubles
+        uniform, ref = _uniforms(np.random.default_rng(5)), np.random.default_rng(5)
+        for i in range(5 * 16 + 2):
+            lo, hi = -float(i), float(i % 7) + 0.5
+            assert uniform(lo, hi) == ref.uniform(lo, hi)
+
+    def test_uniform_reader_through_a_rejection_loop(self):
+        # b is redrawn until it is min_sep from a, as the runners draw it;
+        # the reader and one Generator.uniform call per draw agree throughout
+        for seed in range(20):
+            ref = np.random.default_rng(seed)
+            streams = (_uniforms(np.random.default_rng(seed)),
+                       lambda lo=0.0, hi=1.0: ref.uniform(lo, hi))
+            points = []
+            for uniform in streams:
+                a = _sample_disc_point(uniform, 2.0)
+                b = _separated(lambda: _sample_disc_point(uniform, 2.0), a, 1.5)
+                points.append((a, b, _sample_disc_point(uniform, 2.0), uniform()))
+            assert points[0] == points[1]
 
 
 class TestHalfplaneGrowth:
@@ -331,6 +378,10 @@ class TestHalfplaneGrowth:
         with pytest.raises(UsageError):
             halfplane_growth([1])
 
+    def test_empty_table_refused(self):
+        with pytest.raises(UsageError, match="nothing to tabulate"):
+            halfplane_growth([])
+
 
 class TestCounterexample:
     def test_both_findings(self):
@@ -343,6 +394,11 @@ class TestCounterexample:
         assert v.violated and v.rhs == 0.0
         assert abs(v.lhs - 2.0 * math.atanh(0.5)) <= 1e-12
         assert report.extras["expected_violation"] is True
+
+    @pytest.mark.parametrize("pairs", [0, -3])
+    def test_no_pairs_refused(self, pairs):
+        with pytest.raises(UsageError, match="pairs must be >= 1"):
+            counterexample_demo(pairs=pairs)
 
     def test_deterministic(self):
         a = counterexample_demo(pairs=200, seed=3).to_json(include_timing=False)
@@ -368,6 +424,11 @@ class TestConvergence:
         assert all(b > a for a, b in zip(partials, partials[1:]))
         # tail of sum 1/n^2 beyond N is below 1/N
         assert limit - partials[-1] <= constant / 50.0
+
+    @pytest.mark.parametrize("rows", [0, -3])
+    def test_empty_table_refused(self, rows):
+        with pytest.raises(UsageError, match="rows must be >= 1"):
+            convergence_demo("inv_square", ModelPoint.disc(0.5j), rows=rows)
 
     def test_non_summable_refused(self):
         z = ModelPoint.disc(0.5j)
@@ -457,6 +518,26 @@ class TestCli:
         out = run_cli("counterexample", "--pairs", "100",
                       "--out", str(tmp_path / "ce.json"))
         assert out.returncode == 0
+
+    @pytest.mark.parametrize("pairs", ["0", "-3"])
+    def test_counterexample_without_pairs_exits(self, pairs, capsys):
+        assert main(["counterexample", "--pairs", pairs]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "error: pairs must be >= 1\n"
+
+    @pytest.mark.parametrize("argv, line", [
+        (["convergence", "--z", "0.5i", "--rows", "0"], "error: rows must be >= 1\n"),
+        (["convergence", "--z", "0.5i", "--rows", "-3"], "error: rows must be >= 1\n"),
+        (["halfplane", "--n", ","], "error: no n values: nothing to tabulate\n"),
+    ], ids=["rows-0", "rows-minus-3", "n-empty"])
+    def test_empty_table_exits_with_or_without_out(self, argv, line, tmp_path, capsys):
+        path = tmp_path / "table.csv"
+        for out in ([], ["--out", str(path)]):
+            assert main(argv + out) == 2
+            got = capsys.readouterr()
+            assert (got.out, got.err) == ("", line)
+        assert not path.exists()
 
     def test_halfplane_csv(self, tmp_path):
         path = tmp_path / "hp.csv"

@@ -1,5 +1,7 @@
+import cmath
 import math
 
+import numpy as np
 import pytest
 
 from hypbound import (
@@ -19,6 +21,7 @@ from hypbound import (
     UsageError,
     ValidationError,
     apply,
+    build_disc_automorphism,
     declared_degree,
     dist,
     evaluate,
@@ -220,6 +223,42 @@ class TestSampleMap:
     def test_unknown_family(self):
         with pytest.raises(UsageError):
             sample_map("quadratic", 1)
+
+    @staticmethod
+    def reference_map(family: str, seed: int, params: dict):
+        """The sampler with one Generator.uniform call per draw."""
+        rng = np.random.default_rng(seed)
+
+        def disc(radius):
+            r = radius * math.sqrt(rng.uniform(0.0, 1.0))
+            return r * cmath.exp(1j * rng.uniform(0.0, math.tau))
+
+        if family == "blaschke":
+            degree = int(rng.integers(1, params["max_degree"] + 1))
+            zeros = tuple(disc(0.95) for _ in range(degree))
+            return BlaschkeProduct(rng.uniform(0.0, math.tau), zeros)
+        if family == "disc_automorphism":
+            center = ModelPoint.disc(disc(0.95))
+            return build_disc_automorphism(center, rng.uniform(0.0, math.tau))
+        if family == "punctured_exp":
+            power = int(rng.integers(1, params["max_power"] + 1))
+            rotation = rng.uniform(0.0, math.tau)
+            return PuncturedExp(rotation, power, rng.uniform(0.0, params["max_decay"]))
+        eps = params["eps"]
+        center = ModelPoint.disc(disc(math.tanh(eps / 8.0)))
+        return build_disc_automorphism(center, rng.uniform(-eps / 4.0, eps / 4.0))
+
+    @pytest.mark.parametrize("family, params", [
+        ("blaschke", {"max_degree": 16}),
+        ("disc_automorphism", {}),
+        ("punctured_exp", {"max_power": 4, "max_decay": 2.0}),
+        ("near_identity", {"eps": 1e-3}),
+    ])
+    def test_draws_equal_one_uniform_call_per_draw(self, family, params):
+        # one rng.random(n) call per map yields what n scalar draws would
+        for seed in range(1000):
+            got = sample_map(family, seed, params).to_dict()
+            assert got == self.reference_map(family, seed, params).to_dict(), seed
 
     @pytest.mark.parametrize("family, params", [
         ("blaschke", {"max_degree": 0}),

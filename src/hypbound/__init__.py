@@ -7,6 +7,7 @@ from .bounds import (
     check_two_point,
     constant_keu,
     constant_two_point,
+    qlo_bound,
 )
 from .covering import (
     DegreeResult,
@@ -63,7 +64,6 @@ from .mobius import (
     dist_to_axis,
     hyperbolic_pull,
     is_infinite,
-    qlo_bound,
 )
 from .models import (
     BOUNDARY_MARGIN,

@@ -1,6 +1,7 @@
 """Bound constants and margin checks for the distortion inequalities:
 the two-point bound and its sharpened form, the reference-automorphism
-variant, the fixed-point bound, and the punctured-disc bound."""
+variant, the fixed-point bound, the punctured-disc bound and the axis
+displacement bound. Each check returns one ``BoundReport``."""
 
 from __future__ import annotations
 
@@ -8,11 +9,11 @@ import math
 from typing import Optional
 
 from .covering import punctured_dist
-from .errors import PreconditionError
+from .errors import DomainError, PreconditionError
 from .holomaps import HoloMap, evaluate, reference_degree
-from .mobius import Mobius, apply, is_isometry
+from .mobius import Mobius, apply, classify, dist_to_axis, is_isometry
 from .models import ModelPoint, density_punctured, dist
-from .report import DEFAULT_TOLERANCE, BoundReport, Sides
+from .report import DEFAULT_TOLERANCE, BoundReport
 
 MIN_SEPARATION = 1e-9
 
@@ -51,13 +52,8 @@ def check_two_point(f: HoloMap, a: ModelPoint, b: ModelPoint, z: ModelPoint,
     identity when absent. Holomorphic maps never violate it; the real-part
     contraction is accepted so the designed counterexample runs through the
     same path."""
-    return two_point_sides(f, a, b, z, h, sharp).report(tolerance)
-
-
-def two_point_sides(f: HoloMap, a: ModelPoint, b: ModelPoint, z: ModelPoint,
-                    h: Optional[Mobius] = None, sharp: bool = False) -> Sides:
-    """The sides of ``check_two_point``, unreported."""
     constant = constant_two_point(z, a, b, sharp=sharp)
+    inputs = {"f": f, "a": a, "b": b, "z": z}
     if h is None:
         hz, ha, hb = z, a, b
         tag = "two_point_sharp" if sharp else "two_point"
@@ -68,23 +64,16 @@ def two_point_sides(f: HoloMap, a: ModelPoint, b: ModelPoint, z: ModelPoint,
             raise PreconditionError("reference map must be a model automorphism")
         hz, ha, hb = apply(h, z), apply(h, a), apply(h, b)
         tag = "xjb"
+        inputs["h"] = h
     lhs = dist(evaluate(f, z), hz)
     rhs = constant * (dist(evaluate(f, a), ha) + dist(evaluate(f, b), hb))
-    inputs = {"f": f, "a": a, "b": b, "z": z}
-    if h is not None:
-        inputs["h"] = h
-    return Sides(tag, lhs, rhs, constant, inputs)
+    return BoundReport(tag, lhs, rhs, constant, inputs, tolerance)
 
 
 def check_fixed_point(f: HoloMap, a: ModelPoint, b: ModelPoint, z: ModelPoint,
                       tolerance: float = DEFAULT_TOLERANCE) -> BoundReport:
     """Check d(f(z), z) <= M * d(f(a), a) for a map fixing b, with
     M = exp(d(a,z) + d(z,b)) / (4 sinh(d(a,b)/2)); M is always above 1."""
-    return fixed_point_sides(f, a, b, z).report(tolerance)
-
-
-def fixed_point_sides(f: HoloMap, a: ModelPoint, b: ModelPoint, z: ModelPoint) -> Sides:
-    """The sides of ``check_fixed_point``, unreported."""
     dab = _separation(a, b)
     drift = dist(evaluate(f, b), b)
     if drift > 1e-10:
@@ -92,7 +81,8 @@ def fixed_point_sides(f: HoloMap, a: ModelPoint, b: ModelPoint, z: ModelPoint) -
     constant = math.exp(dist(a, z) + dist(z, b)) / (4.0 * math.sinh(0.5 * dab))
     lhs = dist(evaluate(f, z), z)
     rhs = constant * dist(evaluate(f, a), a)
-    return Sides("fixed_point", lhs, rhs, constant, {"f": f, "a": a, "b": b, "z": z})
+    return BoundReport("fixed_point", lhs, rhs, constant, {"f": f, "a": a, "b": b, "z": z},
+                       tolerance)
 
 
 def check_punctured(f: HoloMap, h: HoloMap, a: ModelPoint, z: ModelPoint,
@@ -100,14 +90,37 @@ def check_punctured(f: HoloMap, h: HoloMap, a: ModelPoint, z: ModelPoint,
     """Check d*(f(z), h(z)) <= L^3 * d*(f(a), h(a)) on the punctured disc for
     a self-covering reference h of the same positive degree, where
     L = 8 * density(a) * exp(d*(z, a))."""
-    return punctured_sides(f, h, a, z).report(tolerance)
-
-
-def punctured_sides(f: HoloMap, h: HoloMap, a: ModelPoint, z: ModelPoint) -> Sides:
-    """The sides of ``check_punctured``, unreported."""
     reference_degree(f, h)
     growth = 8.0 * density_punctured(a) * math.exp(punctured_dist(z, a))
     constant = growth ** 3
     lhs = punctured_dist(evaluate(f, z), evaluate(h, z))
     rhs = constant * punctured_dist(evaluate(f, a), evaluate(h, a))
-    return Sides("punctured", lhs, rhs, constant, {"f": f, "h": h, "a": a, "z": z, "L": growth})
+    return BoundReport("punctured", lhs, rhs, constant,
+                       {"f": f, "h": h, "a": a, "z": z, "L": growth}, tolerance)
+
+
+def qlo_bound(w: ModelPoint, c: ModelPoint, h: Mobius,
+              tolerance: float = DEFAULT_TOLERANCE) -> BoundReport:
+    """Displacement bound for a hyperbolic automorphism h with c on its axis:
+
+        dist(w, h(w)) <= exp(dist(w, c)) * dist(c, h(c)).
+
+    The report's witnesses carry both sides of the exact identity
+    sinh(dist(w, hw)/2) = cosh(dist(w, axis)) * sinh(dist(c, hc)/2).
+    """
+    cls = classify(h)
+    if cls.kind != "hyperbolic":
+        raise DomainError(f"map is {cls.kind}, not hyperbolic")
+    if w.model is not h.model or c.model is not h.model:
+        raise DomainError("points must live in the map's model")
+    off_axis = dist_to_axis(c, cls.axis, h.model)
+    if off_axis > 1e-9:
+        raise PreconditionError(f"base point is {off_axis:.3e} away from the axis")
+    lhs = dist(w, apply(h, w))
+    base = dist(c, apply(h, c))
+    growth = math.exp(dist(w, c))
+    w_axis = dist_to_axis(w, cls.axis, h.model)
+    inputs = {"w": w, "c": c, "h": h, "axis_distance": w_axis,
+              "identity_lhs": math.sinh(0.5 * lhs),
+              "identity_rhs": math.cosh(w_axis) * math.sinh(0.5 * base)}
+    return BoundReport("qlo", lhs, growth * base, growth, inputs, tolerance)

@@ -22,8 +22,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .bounds import (check_two_point, constant_two_point, fixed_point_sides, punctured_sides,
-                     two_point_sides)
+from .bounds import check_fixed_point, check_punctured, check_two_point, constant_two_point
 from .covering import _cover, principal_lift
 from .errors import HypboundError, NumericalError, UsageError, ValidationError
 from .holomaps import (
@@ -39,7 +38,7 @@ from .holomaps import (
 )
 from .mobius import build_disc_automorphism
 from .models import TO_UPPER, Model, ModelPoint, _mapply, disc_radius_limit, dist
-from .report import BoundReport, Sides, fmt17
+from .report import BoundReport, fmt17
 
 SCHEMA_VERSION = 1
 
@@ -163,15 +162,14 @@ def _separated(draw: Callable[[], ModelPoint], other: ModelPoint, min_sep: float
 
 def _draw_disc_map(cfg: CampaignConfig, seeds) -> HoloMap:
     if cfg.family == "blaschke":
-        return sample_map("blaschke", seeds[0],
-                          {"max_degree": int(cfg.family_params.get("max_degree", 5))})
+        return sample_map("blaschke", seeds[0], cfg.family_params)
     if cfg.family == "automorphism":
         return sample_map("disc_automorphism", seeds[0])
     if cfg.family == "realpart":
         return RealPartMap()
     # mix: one of Blaschke, automorphism, or their composition
     kind = int(np.random.default_rng(seeds[0]).integers(0, 3))
-    deg = int(cfg.family_params.get("max_degree", 5))
+    deg = sampler_param(cfg.family_params, "max_degree", 5)
     if kind == 0:
         return sample_map("blaschke", seeds[2], {"max_degree": deg})
     if kind == 1:
@@ -182,7 +180,7 @@ def _draw_disc_map(cfg: CampaignConfig, seeds) -> HoloMap:
     ))
 
 
-def _run_two_point(cfg: CampaignConfig, index: int, seeds) -> Sides:
+def _run_two_point(cfg: CampaignConfig, index: int, seeds) -> BoundReport:
     uniform = _uniforms(np.random.default_rng(seeds[1]))
     half = cfg.max_radius / 2.0  # pairwise separations stay within max_radius
     f = _draw_disc_map(cfg, seeds)
@@ -200,10 +198,11 @@ def _run_two_point(cfg: CampaignConfig, index: int, seeds) -> Sides:
         a = _sample_disc_point(uniform, half)
         b = _separated(lambda: _sample_disc_point(uniform, half), a, cfg.min_sep)
         z = _sample_disc_point(uniform, half)
-    return two_point_sides(f, a, b, z, sharp=cfg.theorem == "two_point_sharp")
+    return check_two_point(f, a, b, z, sharp=cfg.theorem == "two_point_sharp",
+                           tolerance=cfg.tolerance)
 
 
-def _run_fixed_point(cfg: CampaignConfig, index: int, seeds) -> Sides:
+def _run_fixed_point(cfg: CampaignConfig, index: int, seeds) -> BoundReport:
     uniform = _uniforms(np.random.default_rng(seeds[1]))
     half = cfg.max_radius / 2.0
     b = _sample_disc_point(uniform, half)
@@ -211,12 +210,12 @@ def _run_fixed_point(cfg: CampaignConfig, index: int, seeds) -> Sides:
     z = _sample_disc_point(uniform, half)
     # conjugate w * B(w) (a Blaschke product with an extra zero at 0, hence
     # fixing 0) by the automorphism exchanging 0 and b
-    deg = max(1, int(cfg.family_params.get("max_degree", 4)) - 1)
+    deg = max(1, sampler_param(cfg.family_params, "max_degree", 4) - 1)
     inner = sample_map("blaschke", seeds[0], {"max_degree": deg})
     fixing_zero = BlaschkeProduct(inner.rotation, (0.0,) + inner.zeros)
     sigma = build_disc_automorphism(b, 0.0)
     f = Composition((sigma, fixing_zero, sigma.inverse()))
-    return fixed_point_sides(f, a, b, z)
+    return check_fixed_point(f, a, b, z, cfg.tolerance)
 
 
 def _punctured_base_point(uniform: Callable[..., float], f: HoloMap) -> ModelPoint:
@@ -250,21 +249,18 @@ def _punctured_nearby_point(uniform: Callable[..., float], a: ModelPoint,
     raise NumericalError("could not sample a representable nearby point")
 
 
-def _run_punctured(cfg: CampaignConfig, index: int, seeds) -> Sides:
+def _run_punctured(cfg: CampaignConfig, index: int, seeds) -> BoundReport:
     uniform = _uniforms(np.random.default_rng(seeds[1]))
-    f = sample_map("punctured_exp", seeds[0], {
-        "max_power": int(cfg.family_params.get("max_power", 4)),
-        "max_decay": float(cfg.family_params.get("max_decay", 2.0)),
-    })
+    f = sample_map("punctured_exp", seeds[0], cfg.family_params)
     h = PuncturedPower(uniform(0.0, math.tau), f.power)
     a = _punctured_base_point(uniform, f)
     z = _punctured_nearby_point(uniform, a, min(4.0, cfg.max_radius), f)
-    return punctured_sides(f, h, a, z)
+    return check_punctured(f, h, a, z, cfg.tolerance)
 
 
-# A runner draws sample ``index`` from its four seeds (the ints of derive_seeds,
-# or their seeding.campaign_seeds stand-ins) and returns the sides of its bound.
-_RUNNERS: dict[str, Callable[..., Sides]] = {
+# A runner draws sample ``index`` from its four seeds (the ints of derive_seeds, or
+# their seeding.campaign_seeds stand-ins) and returns its bound's unserialised report.
+_RUNNERS: dict[str, Callable[..., BoundReport]] = {
     "two_point": _run_two_point,
     "two_point_sharp": _run_two_point,
     "fixed_point": _run_fixed_point,
@@ -275,8 +271,8 @@ _RUNNERS: dict[str, Callable[..., Sides]] = {
 def run_sample(cfg: CampaignConfig, index: int) -> BoundReport:
     """Rebuild and re-check the single sample ``index`` of a campaign; the
     scalar reference for the block-seeded ``run_campaign``."""
-    sides = _RUNNERS[cfg.theorem](cfg, index, derive_seeds(cfg.seed, index))
-    return sides.report(cfg.tolerance, seed=cfg.seed, index=index)
+    report = _RUNNERS[cfg.theorem](cfg, index, derive_seeds(cfg.seed, index))
+    return report.for_sample(cfg.seed, index)
 
 
 def run_campaign(cfg: CampaignConfig) -> CampaignReport:
@@ -291,12 +287,12 @@ def run_campaign(cfg: CampaignConfig) -> CampaignReport:
     margins, violations = [], []
     for i, seeds in enumerate(campaign_seeds(cfg.seed, cfg.samples)):
         try:
-            sides = runner(cfg, i, seeds)
+            report = runner(cfg, i, seeds)
         except HypboundError as exc:
             raise type(exc)(f"sample {i} of seed {cfg.seed}: {exc}") from exc
-        margins.append(sides.margin)
-        if margins[-1] < -cfg.tolerance:
-            violations.append(sides.report(cfg.tolerance, seed=cfg.seed, index=i))
+        margins.append(report.margin)
+        if report.violated:
+            violations.append(report.for_sample(cfg.seed, i))
     margins = np.array(margins)
     stats = {"min": float(margins.min()), "median": float(np.median(margins)),
              "p99": float(np.percentile(margins, 99)), "max": float(margins.max())}
@@ -364,7 +360,7 @@ def counterexample_demo(pairs: int = 1000, seed: int = 0) -> CampaignReport:
 
 def _parse_budget(spec: str) -> Callable[[int], float]:
     """Summable displacement budgets: inv_square, inv_cube, inv_power:p=...
-    (p > 1). Non-summable specs are refused."""
+    (p finite and > 1). Non-summable specs are refused."""
     name, _, rest = spec.partition(":")
     if name == "inv_square":
         p = 2.0
@@ -377,8 +373,8 @@ def _parse_budget(spec: str) -> Callable[[int], float]:
             p = float(dict(kv.split("=") for kv in rest.split(","))["p"])
         except (KeyError, ValueError) as exc:
             raise UsageError(f"malformed budget spec {spec!r}") from exc
-        if p <= 1.0:
-            raise UsageError(f"budget exponent {p} is not summable")
+        if not 1.0 < p < math.inf:
+            raise UsageError(f"budget {spec!r} needs a finite exponent p > 1")
     else:
         raise UsageError(f"unknown budget spec {spec!r}")
     return lambda n: float(n) ** -p

@@ -19,6 +19,11 @@ from .models import Model, ModelPoint
 evaluate = apply  # a self-map is evaluated with one image check
 
 
+def _finite_rotation(rotation: float) -> None:
+    if not math.isfinite(rotation):
+        raise ValidationError(f"rotation must be finite, not {rotation!r}")
+
+
 @dataclass(frozen=True)
 class Identity(HoloMap):
     model: Model = Model.DISC
@@ -52,11 +57,12 @@ class BlaschkeProduct(HoloMap):
     model: Model = field(default=Model.DISC, init=False)
 
     def __post_init__(self) -> None:
+        _finite_rotation(self.rotation)
         zeros = tuple(complex(z) for z in self.zeros)
         if not zeros:
             raise ValidationError("a Blaschke product needs at least one zero")
         for z in zeros:
-            if abs(z) >= 1.0 - 1e-12:
+            if not abs(z) < 1.0 - 1e-12:
                 raise ValidationError(f"zero {z!r} is not interior to the disc")
         object.__setattr__(self, "zeros", zeros)
 
@@ -85,14 +91,14 @@ class BlaschkeProduct(HoloMap):
 
 @dataclass(frozen=True)
 class HalfPlaneTranslate(HoloMap):
-    """w -> w + offset on the right half-plane, offset >= 0."""
+    """w -> w + offset on the right half-plane, offset finite and >= 0."""
 
     offset: float
     model: Model = field(default=Model.RIGHT_HALF_PLANE, init=False)
 
     def __post_init__(self) -> None:
-        if self.offset < 0.0:
-            raise ValidationError("translation offset must be nonnegative")
+        if not 0.0 <= self.offset < math.inf:
+            raise ValidationError(f"offset must be finite and nonnegative, not {self.offset!r}")
 
     def value_at(self, z: complex) -> complex:
         return z + self.offset
@@ -114,6 +120,7 @@ class PuncturedPower(HoloMap):
     self_covering = True
 
     def __post_init__(self) -> None:
+        _finite_rotation(self.rotation)
         if self.power < 1:
             raise ValidationError("power must be a positive integer")
 
@@ -139,7 +146,7 @@ class PuncturedPower(HoloMap):
 
 @dataclass(frozen=True)
 class PuncturedExp(HoloMap):
-    """z -> e^{i rotation} z^power e^{decay (z - 1)} with real decay >= 0.
+    """z -> e^{i rotation} z^power e^{decay (z - 1)} with finite real decay >= 0.
 
     Zero-free on the punctured disc and a self-map there, since
     |f(z)| = |z|^power * e^{decay (Re z - 1)} < 1; the degree is ``power``.
@@ -151,10 +158,11 @@ class PuncturedExp(HoloMap):
     model: Model = field(default=Model.PUNCTURED_DISC, init=False)
 
     def __post_init__(self) -> None:
+        _finite_rotation(self.rotation)
         if self.power < 1:
             raise ValidationError("power must be a positive integer")
-        if self.decay < 0.0:
-            raise ValidationError("decay must be nonnegative")
+        if not 0.0 <= self.decay < math.inf:
+            raise ValidationError(f"decay must be finite and nonnegative, not {self.decay!r}")
 
     def value_at(self, z: complex) -> complex:
         return cmath.exp(1j * self.rotation) * z ** self.power * cmath.exp(self.decay * (z - 1.0))

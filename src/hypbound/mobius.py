@@ -1,5 +1,5 @@
 """Self-maps (``HoloMap``, ``apply``) and the fractional-linear ones: composition,
-classification, fixed points and axes, disc automorphisms, the axis bound."""
+classification, fixed points and axes, disc automorphisms."""
 
 from __future__ import annotations
 
@@ -8,9 +8,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import DomainError, IntegrityError, NumericalError, PreconditionError, ValidationError
+from .errors import DomainError, IntegrityError, NumericalError, ValidationError
 from .models import TO_UPPER, Model, ModelPoint, _adjugate, _mapply, convert, dist, model_excess
-from .report import DEFAULT_TOLERANCE, BoundReport, Sides
 
 # Boundary fixed point at infinity (never wrapped in a ModelPoint).
 INF = complex(math.inf, 0.0)
@@ -313,33 +312,3 @@ def dist_to_axis(w: ModelPoint, axis: tuple, model: Model) -> float:
     z = _mapply(_axis_matrix(*_axis_to_upper(axis, model)), wu)
     return math.asinh(abs(z.real) / z.imag)
 
-
-def qlo_bound(w: ModelPoint, c: ModelPoint, h: Mobius,
-              tolerance: float = DEFAULT_TOLERANCE) -> BoundReport:
-    """Displacement bound for a hyperbolic automorphism h with c on its axis:
-
-        dist(w, h(w)) <= exp(dist(w, c)) * dist(c, h(c)).
-
-    The report's witnesses carry both sides of the exact identity
-    sinh(dist(w, hw)/2) = cosh(dist(w, axis)) * sinh(dist(c, hc)/2).
-    """
-    cls = classify(h)
-    if cls.kind != "hyperbolic":
-        raise DomainError(f"map is {cls.kind}, not hyperbolic")
-    if w.model is not h.model or c.model is not h.model:
-        raise DomainError("points must live in the map's model")
-    off_axis = dist_to_axis(c, cls.axis, h.model)
-    if off_axis > 1e-9:
-        raise PreconditionError(f"base point is {off_axis:.3e} away from the axis")
-    lhs = dist(w, apply(h, w))
-    base = dist(c, apply(h, c))
-    growth = math.exp(dist(w, c))
-    rhs = growth * base
-    w_axis = dist_to_axis(w, cls.axis, h.model)
-    inputs = {
-        "w": w, "c": c, "h": h,
-        "axis_distance": w_axis,
-        "identity_lhs": math.sinh(0.5 * lhs),
-        "identity_rhs": math.cosh(w_axis) * math.sinh(0.5 * base),
-    }
-    return Sides("qlo", lhs, rhs, growth, inputs).report(tolerance)

@@ -2,12 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, NamedTuple
-
-from .errors import ValidationError
-
-THEOREM_TAGS = ("two_point", "two_point_sharp", "xjb", "fixed_point", "punctured", "qlo")
+from typing import NamedTuple
 
 DEFAULT_TOLERANCE = 1e-9
 
@@ -17,22 +12,37 @@ def fmt17(x: float) -> str:
     return format(float(x), ".17g")
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """One inequality evaluation: left side, right side, the constant in
-    front of the right side, and the margin rhs - lhs."""
+    front of the right side, the inputs it was evaluated at (maps and points
+    stay unserialised until asked for) and the tolerance of a violation."""
 
     theorem: str
     lhs: float
     rhs: float
     constant: float
-    margin: float
-    witnesses: dict
-    violated: bool
+    inputs: dict
+    tolerance: float
 
-    def __post_init__(self) -> None:
-        if self.theorem not in THEOREM_TAGS:
-            raise ValidationError(f"unknown theorem tag {self.theorem!r}")
+    @property
+    def margin(self) -> float:
+        return self.rhs - self.lhs
+
+    @property
+    def violated(self) -> bool:
+        return self.margin < -self.tolerance
+
+    @property
+    def witnesses(self) -> dict:
+        """The inputs as JSON values: maps and points through their ``to_dict``."""
+        if "index" in self.inputs:  # a sample's report: ``for_sample`` serialised them
+            return self.inputs
+        return {k: v if isinstance(v, float) else v.to_dict() for k, v in self.inputs.items()}
+
+    def for_sample(self, seed: int, index: int) -> BoundReport:
+        """This report with its witnesses serialised once and the campaign
+        sample ``(seed, index)`` that replays it added."""
+        return self._replace(inputs={**self.witnesses, "seed": seed, "index": index})
 
     def to_dict(self) -> dict:
         return {
@@ -44,23 +54,3 @@ class BoundReport:
             "violated": self.violated,
             "witnesses": self.witnesses,
         }
-
-
-class Sides(NamedTuple):
-    """An inequality evaluated, unreported: sides, constant, unserialised witnesses."""
-
-    theorem: str
-    lhs: float
-    rhs: float
-    constant: float
-    inputs: dict
-
-    @property
-    def margin(self) -> float:
-        return self.rhs - self.lhs
-
-    def report(self, tolerance: float = DEFAULT_TOLERANCE, **extra: Any) -> BoundReport:
-        """The report, with every input serialised and ``extra`` added."""
-        witnesses = {k: v if isinstance(v, float) else v.to_dict() for k, v in self.inputs.items()}
-        return BoundReport(self.theorem, self.lhs, self.rhs, self.constant, self.margin,
-                           {**witnesses, **extra}, self.margin < -tolerance)

@@ -24,6 +24,7 @@ from hypbound import (
     run_sample,
 )
 from hypbound.cli import main
+from hypbound import harness
 from hypbound.errors import NumericalError
 from hypbound.harness import (_sample_disc_point, _separated, _uniforms, derive_seeds,
                               write_rows_csv)
@@ -184,6 +185,27 @@ class TestCampaigns:
         assert calls == []
         run_sample(cfg, 0)  # the counters see a full report's witnesses
         assert "ModelPoint" in calls
+
+    @pytest.mark.parametrize("theorem, family, check", [
+        ("two_point", "mix", "check_two_point"),
+        ("two_point_sharp", "blaschke", "check_two_point"),
+        ("fixed_point", "fixing", "check_fixed_point"),
+        ("punctured", "exp", "check_punctured"),
+    ])
+    def test_every_sample_goes_through_the_public_check(self, theorem, family, check,
+                                                         monkeypatch):
+        # the names hypbound.harness imports are the ones a tracer wraps
+        calls = {name: 0 for name in ("check_two_point", "check_fixed_point",
+                                      "check_punctured")}
+        for name in calls:
+            def counted(*args, _real=getattr(harness, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(harness, name, counted)
+        cfg = CampaignConfig(theorem, family, 40, 3)
+        run_campaign(cfg)
+        run_sample(cfg, 0)
+        assert calls == {name: 41 if name == check else 0 for name in calls}
 
     def test_rerun_identical(self):
         cfg = CampaignConfig("fixed_point", "fixing", 100, 5)
@@ -551,6 +573,27 @@ class TestCli:
         out = run_cli("convergence", "--budget", "inv_linear", "--z", "0.5i")
         assert out.returncode == 2
         assert "not summable" in out.stderr
+
+    @pytest.mark.parametrize("p", ["nan", "inf"])
+    def test_convergence_refuses_non_finite_exponent(self, p, capsys):
+        assert main(["convergence", "--budget", f"inv_power:p={p}", "--z", "0.5i"]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"error: budget 'inv_power:p={p}' needs a finite exponent p > 1\n"
+
+    @pytest.mark.parametrize("spec, name", [
+        ("exp:m=2,c=nan", "decay"), ("exp:m=2,c=inf", "decay"),
+        ("power:m=2,theta=inf", "rotation"), ("exp:m=2,theta=nan", "rotation"),
+        ('{"variant": "punctured_exp", "rotation": 0.0, "power": 2, "decay": NaN}', "decay"),
+        ('{"variant": "punctured_power", "rotation": Infinity, "power": 2}', "rotation"),
+    ], ids=["exp-c-nan", "exp-c-inf", "power-theta-inf", "exp-theta-nan", "json-decay-nan",
+            "json-rotation-inf"])
+    def test_degree_refuses_non_finite_map_parameter(self, spec, name, capsys):
+        assert main(["degree", spec]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert len(out.err.splitlines()) == 1
+        assert out.err.startswith(f"error: {name} must be finite")
 
     def test_bad_model_token(self):
         out = run_cli("dist", "plane", "0", "1")

@@ -114,6 +114,38 @@ class TestVariantValidation:
         with pytest.raises(ValidationError):
             PuncturedExp(0.0, 1, -1.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("make, name", [
+        (lambda v: BlaschkeProduct(v, (0.1,)), "rotation"),
+        (lambda v: PuncturedPower(v, 2), "rotation"),
+        (lambda v: PuncturedExp(v, 2, 1.0), "rotation"),
+        (lambda v: PuncturedExp(0.0, 2, v), "decay"),
+        (lambda v: HalfPlaneTranslate(v), "offset"),
+    ], ids=["blaschke-rotation", "power-rotation", "exp-rotation", "exp-decay",
+            "translate-offset"])
+    def test_non_finite_parameter_refused(self, make, name, value):
+        with pytest.raises(ValidationError, match=f"^{name} must be finite"):
+            make(value)
+
+    @pytest.mark.parametrize("spec, name", [
+        ({"variant": "blaschke", "rotation": math.nan, "zeros": [[0.1, 0.0]]}, "rotation"),
+        ({"variant": "punctured_power", "rotation": math.inf, "power": 2}, "rotation"),
+        ({"variant": "punctured_exp", "rotation": 0.0, "power": 2, "decay": math.nan},
+         "decay"),
+        ({"variant": "halfplane_translate", "offset": math.inf}, "offset"),
+        ({"variant": "composition", "maps": [
+            {"variant": "punctured_exp", "rotation": -math.inf, "power": 1, "decay": 0.0}]},
+         "rotation"),
+    ], ids=["blaschke-rotation", "power-rotation", "exp-decay", "translate-offset",
+            "composed-exp-rotation"])
+    def test_non_finite_parameter_refused_from_json(self, spec, name):
+        with pytest.raises(ValidationError, match=f"^{name} must be finite"):
+            map_from_dict(spec)
+
+    def test_non_finite_blaschke_zero_refused(self):
+        with pytest.raises(ValidationError):
+            BlaschkeProduct(0.0, (complex(math.nan, 0.0),))
+
     def test_composition_single_model(self):
         with pytest.raises(ValidationError):
             Composition((Identity(Model.DISC), PuncturedPower(0.0, 1)))

@@ -94,16 +94,7 @@ class CampaignConfig:
                 f"distances may err by more than the tolerance {self.tolerance:g}")
 
     def to_dict(self) -> dict:
-        return {
-            "theorem": self.theorem,
-            "family": self.family,
-            "family_params": dict(sorted(self.family_params.items())),
-            "samples": self.samples,
-            "seed": self.seed,
-            "min_sep": self.min_sep,
-            "max_radius": self.max_radius,
-            "tolerance": self.tolerance,
-        }
+        return {**vars(self), "family_params": dict(sorted(self.family_params.items()))}
 
 
 @dataclass(frozen=True)

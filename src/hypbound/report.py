@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from dataclasses import dataclass
 
 DEFAULT_TOLERANCE = 1e-9
 
@@ -12,7 +12,25 @@ def fmt17(x: float) -> str:
     return format(float(x), ".17g")
 
 
-class BoundReport(NamedTuple):
+class _Witnesses:
+    """The ``witnesses`` field of a report: the dict it was given, or else
+    its inputs as JSON values (maps and points through their ``to_dict``),
+    derived on each read. ``dataclasses.replace`` passes the current
+    witnesses on as given; pass ``witnesses=None`` with new inputs."""
+
+    def __get__(self, report, owner=None):
+        if report is None:
+            return None  # the field's default: derive from the inputs
+        given = report.__dict__["_given_witnesses"]
+        return given if given is not None else {
+            k: v if isinstance(v, float) else v.to_dict() for k, v in report.inputs.items()}
+
+    def __set__(self, report, value) -> None:
+        report.__dict__["_given_witnesses"] = value
+
+
+@dataclass
+class BoundReport:
     """One inequality evaluation: left side, right side, the constant in
     front of the right side, the inputs it was evaluated at (maps and points
     stay unserialised until asked for) and the tolerance of a violation."""
@@ -23,6 +41,7 @@ class BoundReport(NamedTuple):
     constant: float
     inputs: dict
     tolerance: float
+    witnesses: dict | None = _Witnesses()
 
     @property
     def margin(self) -> float:
@@ -32,17 +51,12 @@ class BoundReport(NamedTuple):
     def violated(self) -> bool:
         return self.margin < -self.tolerance
 
-    @property
-    def witnesses(self) -> dict:
-        """The inputs as JSON values: maps and points through their ``to_dict``."""
-        if "index" in self.inputs:  # a sample's report: ``for_sample`` serialised them
-            return self.inputs
-        return {k: v if isinstance(v, float) else v.to_dict() for k, v in self.inputs.items()}
-
     def for_sample(self, seed: int, index: int) -> BoundReport:
         """This report with its witnesses serialised once and the campaign
-        sample ``(seed, index)`` that replays it added."""
-        return self._replace(inputs={**self.witnesses, "seed": seed, "index": index})
+        sample ``(seed, index)`` that replays it added. It drops the live
+        inputs, so the violations a campaign keeps hold no map or point."""
+        return BoundReport(self.theorem, self.lhs, self.rhs, self.constant, {},
+                           self.tolerance, {**self.witnesses, "seed": seed, "index": index})
 
     def to_dict(self) -> dict:
         return {

@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 
 import pytest
@@ -158,6 +160,25 @@ class TestCheckTwoPoint:
                             ModelPoint.disc(0.5j))
         assert r.witnesses["f"]["variant"] == "blaschke"
         assert set(r.witnesses) >= {"f", "a", "b", "z"}
+
+    def test_inputs_named_like_a_sample_key_still_serialise(self):
+        r = check_two_point(BlaschkeProduct(0.1, (0.2,)), ModelPoint.disc(0.3),
+                            ModelPoint.disc(-0.3), ModelPoint.disc(0.5j))
+        named = dataclasses.replace(r, inputs={**r.inputs, "seed": ModelPoint.disc(0.1),
+                                               "index": ModelPoint.disc(0.2)}, witnesses=None)
+        json.dumps(named.to_dict())
+        assert named.witnesses["index"] == ModelPoint.disc(0.2).to_dict()
+        assert named.witnesses["f"]["variant"] == "blaschke"
+
+    def test_given_witnesses_are_kept(self):
+        r = check_two_point(BlaschkeProduct(0.1, (0.2,)), ModelPoint.disc(0.3),
+                            ModelPoint.disc(-0.3), ModelPoint.disc(0.5j))
+        sample = r.for_sample(7, 3)
+        assert sample.witnesses == {**r.witnesses, "seed": 7, "index": 3}
+        assert sample.inputs == {}
+        dropped = dataclasses.replace(sample, witnesses={k: v for k, v in sample.witnesses.items()
+                                                         if k != "f"})
+        assert set(dropped.to_dict()["witnesses"]) == {"a", "b", "z", "seed", "index"}
 
 
 class TestCheckFixedPoint:

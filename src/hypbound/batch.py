@@ -1,0 +1,368 @@
+"""Campaign samples a block at a time: the sample runners of ``harness``
+over arrays of lanes, one lane per sample, on a numpy port of PCG64.
+
+Each lane draws what its scalar runner draws, bit for bit, from the words
+``seeding.block_states`` gives it. A runner returns each lane's lhs and rhs
+and marks the lanes it cannot decide for certain: those past the draws it
+made (``TRIES`` attempts of a rejection loop, a Lemire rejection, a degree
+above ``MAX_PAD`` or a power above 100) or near the threshold of a test or
+a refusal. ``harness.run_campaign`` re-runs those through the scalar runner.
+"""
+
+from __future__ import annotations
+
+import functools
+import math
+
+import numpy as np
+
+from .bounds import MIN_SEPARATION
+from .holomaps import sampler_param
+from .models import BOUNDARY_MARGIN
+
+SLACK = 1e-9  # relative: a test this near its threshold is left to the scalar runner
+TRIES = 4  # attempts of each rejection loop drawn per lane
+MAX_PAD = 32  # Blaschke zeros per lane
+
+_U32, _S32 = np.uint64(0xFFFFFFFF), np.uint64(32)
+_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG64's 128-bit multiplier
+
+
+@functools.cache
+def _jumps(k: int) -> list:
+    """A PCG64 seeded with (s, inc) is at A_j s + B_j inc mod 2^128 after
+    output j + 1. For j < k, the limbs of A_j and of B_j: high and low 64
+    bits, and the low word's 32-bit halves."""
+    mod, cols = 1 << 128, []
+    a, b = _MULT * _MULT % mod, (_MULT * (_MULT + 1) + 1) % mod  # seeding steps twice
+    for _ in range(k):
+        cols.append((a, b))
+        a, b = a * _MULT % mod, (b * _MULT + 1) % mod
+    limbs = (np.array([[v >> 64, v % 2 ** 64] for v in c], dtype=np.uint64) for c in zip(*cols))
+    return [(hi, lo, lo & _U32, lo >> _S32) for hi, lo in (c.T for c in limbs)]
+
+
+def _mul(xh, xl, c):
+    """(xh, xl) times the limbs c, mod 2^128, as (high, low) words."""
+    ch, cl, c0, c1 = c
+    x0, x1 = xl & _U32, xl >> _S32
+    p01, p10 = x0 * c1, x1 * c0
+    carry = ((x0 * c0) >> _S32) + (p01 & _U32) + (p10 & _U32)
+    hi = x1 * c1 + (p01 >> _S32) + (p10 >> _S32) + (carry >> _S32) + xh * cl + xl * ch
+    return hi, xl * cl
+
+
+def outputs(words: np.ndarray, k: int) -> np.ndarray:
+    """The first k outputs (lanes, k) of each lane's PCG64, seeded from its
+    row of ``words``, the four words ``block_states`` gives a child seed."""
+    w = words[:, :, None]
+    a, b = _jumps(k)
+    sh, sl = _mul(w[:, 0], w[:, 1], a)
+    ih, il = _mul((w[:, 2] << np.uint64(1)) | (w[:, 3] >> np.uint64(63)),
+                  (w[:, 3] << np.uint64(1)) | np.uint64(1), b)
+    lo = sl + il
+    hi = sh + ih + (lo < sl)
+    x, r = hi ^ lo, hi >> np.uint64(58)
+    return (x >> r) | (x << ((np.uint64(64) - r) & np.uint64(63)))
+
+
+def doubles(out: np.ndarray) -> np.ndarray:
+    """``Generator.random()`` from each output."""
+    return (out >> np.uint64(11)) * (1.0 / 9007199254740992.0)
+
+
+def integers(out: np.ndarray, lo: int, hi: int) -> tuple:
+    """``Generator.integers(lo, hi)``, 2 <= hi - lo < 2^32, from the first
+    output of each lane, by Lemire's method on its low 32 bits; and the lanes
+    where numpy rejects that draw and reads on."""
+    span = hi - lo
+    m = (out & _U32) * np.uint64(span)
+    return lo + (m >> _S32).astype(np.int64), (m & _U32) < (2 ** 32 - span) % span
+
+
+def _draw_integer(out, lo: int, hi: int, unsure) -> tuple:
+    """``integers(lo, hi)`` as a sampler draws it, and the outputs left: one
+    value draws nothing, and a range past 32 bits is left to the scalar runner."""
+    if hi - lo == 1:
+        return np.full(len(out), lo), out
+    value, rejected = integers(out[:, 0], lo, min(hi, lo + 2 ** 32 - 1))
+    unsure |= rejected | (hi - lo >= 2 ** 32)
+    return value, out[:, 1:]
+
+
+def _flag(unsure, mask) -> None:
+    unsure |= mask.reshape(len(unsure), -1).any(axis=1)
+
+
+def _error(*points):
+    """A bound, with room to spare, on the error of a distance between the
+    points: it grows like eps / (1 - |w|)^2 at the largest |w|."""
+    r = functools.reduce(np.maximum, map(np.abs, points))
+    return 256.0 * np.finfo(float).eps / (1.0 - r) ** 2
+
+
+def _near(x, threshold: float, err=0.0):
+    """Where x is within SLACK of the threshold, or within err, or is NaN."""
+    return ~(np.abs(x - threshold) > np.maximum(SLACK * threshold, err))
+
+
+def _refused(w, punctured: bool = False):
+    """Where ModelPoint may refuse w: near or past the BOUNDARY_MARGIN of
+    the disc or of the punctured disc."""
+    r = np.abs(w)
+    out = ~(r < (1.0 - BOUNDARY_MARGIN) * (1.0 - SLACK))
+    return out | ~(r > BOUNDARY_MARGIN * (1.0 + SLACK)) if punctured else out
+
+
+def _first(passed, near, unsure):
+    """The first of each lane's attempts (axis 1) that passes its test; a
+    lane is unsure when none passes or a test up to that one is near."""
+    t = passed.argmax(axis=1)
+    unsure |= ~passed.any(axis=1) | (near & (np.arange(passed.shape[1]) <= t[:, None])).any(1)
+    return t
+
+
+def _take(a, index):
+    return np.take_along_axis(a, index if index.ndim == 2 else index[:, None], axis=1)
+
+
+def _dist(u, v, unsure):
+    """``models._dist_disc``, which refuses a quotient t from 1 up."""
+    t = np.abs(u - v) / np.abs(1.0 - u * v.conj())
+    _flag(unsure, ~(t < 1.0 - SLACK))
+    return 2.0 * np.arctanh(t)
+
+
+def _sample_disc_points(radius: float, u):
+    """``harness._sample_disc_point`` from consecutive pairs of doubles."""
+    return np.tanh(radius * u[:, 0::2] / 2.0) * np.exp(1j * (math.tau * u[:, 1::2]))
+
+
+def _disc_point(u):
+    # holomaps._disc_point(0.95, u0, u1) from consecutive pairs of doubles
+    return 0.95 * np.sqrt(u[:, 0::2]) * np.exp(1j * (math.tau * u[:, 1::2]))
+
+
+def _mobius(a, b, c, d):
+    # the entries of Mobius(a, b, c, d), normalised to determinant 1
+    s = np.sqrt(a * d - b * c)
+    return a / s, b / s, c / s, d / s
+
+
+def _automorphism(words):
+    """``sample_map("disc_automorphism", ...)``, by ``build_disc_automorphism``."""
+    u = doubles(outputs(words, 3))
+    center, rot = _disc_point(u[:, :2]), np.exp(1j * (math.tau * u[:, 2:]))
+    return _mobius(rot, -rot * center, -center.conj(), 1.0)
+
+
+def _apply_mobius(m, w):
+    return (m[0] * w + m[1]) / (m[2] * w + m[3])
+
+
+def _blaschke(words, max_degree: int, unsure):
+    """``sample_map("blaschke", ...)``: (rotation, zeros, mask), the zeros
+    padded to MAX_PAD at most, with a mask of those drawn."""
+    pad = min(max_degree, MAX_PAD)
+    degree, out = _draw_integer(outputs(words, (max_degree > 1) + 2 * pad + 1), 1,
+                                max_degree + 1, unsure)
+    unsure |= degree > pad
+    u = doubles(out)
+    rotation = math.tau * _take(u, 2 * np.minimum(degree, pad))
+    return rotation, _disc_point(u[:, :2 * pad]), np.arange(pad) < degree[:, None]
+
+
+def _apply_blaschke(b, w):
+    rotation, zeros, mask = b
+    z0 = zeros[:, None, :]
+    factors = (w[:, :, None] - z0) / (1.0 - z0.conj() * w[:, :, None])
+    factors[~np.broadcast_to(mask[:, None, :], factors.shape)] = 1.0
+    value = np.exp(1j * rotation)
+    for k in range(factors.shape[2]):
+        value = value * factors[:, :, k]
+    return value
+
+
+def _disc_map(cfg, words, unsure):
+    """``harness._draw_disc_map`` per lane, as a function of points (lanes, P)."""
+    deg = sampler_param(cfg.family_params, "max_degree", 5)
+    if cfg.family == "realpart":
+        return lambda w: w.real + 0j
+    if cfg.family == "blaschke":
+        return functools.partial(_apply_blaschke, _blaschke(words[:, 0], deg, unsure))
+    if cfg.family == "automorphism":
+        return functools.partial(_apply_mobius, _automorphism(words[:, 0]))
+    # mix: a Blaschke product, an automorphism, or the automorphism then a Blaschke product
+    kind, _ = _draw_integer(outputs(words[:, 0], 1), 0, 3, unsure)
+    drawn = [np.zeros_like(unsure) for _ in range(3)]
+    b = _blaschke(words[:, 2], deg, drawn[0])
+    m = _automorphism(words[:, 2])
+    inner = _blaschke(words[:, 3], max(1, deg - 1), drawn[2])
+    unsure |= np.choose(kind, drawn)
+
+    def evaluate(w):
+        moved = _apply_mobius(m, w)
+        return np.choose(kind[:, None],
+                         [_apply_blaschke(b, w), moved, _apply_blaschke(inner, moved)])
+
+    return evaluate
+
+
+def _separated(points, other, min_sep: float, unsure):
+    """``harness._separated`` over the attempts (axis 1): the index of the
+    first at least min_sep from ``other``."""
+    _flag(unsure, _refused(points))
+    d = _dist(points, other, unsure)
+    return _first(d >= min_sep, _near(d, min_sep, _error(points, other)), unsure)
+
+
+def _disc_sample(cfg, words, unsure):
+    """The disc runners' points, from stream 1: one, then another separated
+    from it, then z."""
+    half = cfg.max_radius / 2.0
+    u = doubles(outputs(words[:, 1], 4 + 2 * TRIES))
+    first = _sample_disc_points(half, u[:, :2])
+    tries = _sample_disc_points(half, u[:, 2:2 + 2 * TRIES])
+    t = _separated(tries, first, cfg.min_sep, unsure)
+    return first, _take(tries, t), _sample_disc_points(half, _take(u, 2 * t[:, None] + [4, 5]))
+
+
+def _distances(unsure, points, images, first: list, second: list) -> list:
+    """The refusals of ModelPoint on the points a, b, z and their images, and
+    the distances between columns ``first`` and ``second`` of (a, b, z, f(a),
+    f(b), f(z)), in one pass; the first pair is (a, b), which
+    ``bounds._separation`` refuses below MIN_SEPARATION."""
+    _flag(unsure, _refused(points) | _refused(images))
+    w = np.concatenate([points, images], axis=1)
+    d = _dist(w[:, first], w[:, second], unsure)
+    _flag(unsure, ~(d[:, 0] > MIN_SEPARATION * (1.0 + SLACK)))
+    return [d[:, k:k + 1] for k in range(len(first))]
+
+
+def _two_point(cfg, words, unsure):
+    if cfg.family == "realpart":
+        # a, then b's attempts one double each, then z's two each
+        u = doubles(outputs(words[:, 1], 1 + 3 * TRIES))
+        real = -0.9 + (0.9 - -0.9) * u[:, :1 + TRIES] + 0j
+        a = real[:, :1]
+        t = _separated(real[:, 1:], a, cfg.min_sep, unsure)
+        b = _take(real[:, 1:], t)
+        zs = _sample_disc_points(cfg.max_radius / 2.0,
+                                 _take(u, t[:, None] + 2 + np.arange(2 * TRIES)))
+        _flag(unsure, _refused(zs))
+        z = _take(zs, _first(np.abs(zs.imag) >= 0.1, _near(np.abs(zs.imag), 0.1), unsure))
+    else:
+        a, b, z = _disc_sample(cfg, words, unsure)
+    points = np.concatenate([a, b, z], axis=1)
+    images = _disc_map(cfg, words, unsure)(points)
+    # d(a, b), d(z, a), d(b, z), then d(f(z), z), d(f(a), a), d(f(b), b)
+    dab, dza, dbz, lhs, dfa, dfb = _distances(unsure, points, images, [0, 2, 1, 5, 3, 4],
+                                              [1, 0, 2, 2, 0, 1])
+    top = np.exp(dza + dab + dbz)
+    constant = top / (2.0 * np.sinh(0.5 * dab) if cfg.theorem == "two_point_sharp" else dab)
+    return lhs, constant * (dfa + dfb), constant, (points, images)
+
+
+def _fixed_point(cfg, words, unsure):
+    b, a, z = _disc_sample(cfg, words, unsure)
+    # w B(w), conjugated by the automorphism sigma exchanging 0 and b
+    deg = max(1, sampler_param(cfg.family_params, "max_degree", 4) - 1)
+    rotation, zeros, mask = _blaschke(words[:, 0], deg, unsure)
+    fixing_zero = (rotation, np.concatenate([np.zeros_like(zeros[:, :1]), zeros], axis=1),
+                   np.concatenate([np.ones_like(mask[:, :1]), mask], axis=1))
+    sigma = _mobius(1.0, -b, -b.conj(), 1.0)  # build_disc_automorphism(b, 0.0)
+    _flag(unsure, ~(np.abs(1.0 - b * b.conj()) > 1e-12 * (1.0 + SLACK)))  # Mobius's refusal
+    inverse = _mobius(sigma[3], -sigma[1], -sigma[2], sigma[0])
+    points = np.concatenate([a, b, z], axis=1)
+    images = _apply_mobius(inverse, _apply_blaschke(fixing_zero, _apply_mobius(sigma, points)))
+    # d(a, b), d(f(b), b), d(a, z), d(z, b), then d(f(z), z), d(f(a), a)
+    dab, drift, daz, dzb, lhs, dfa = _distances(unsure, points, images, [0, 4, 0, 2, 5, 3],
+                                                [1, 1, 2, 1, 2, 0])
+    # check_fixed_point refuses a drift above 1e-10
+    _flag(unsure, ~(drift < 1e-10 * (1.0 - SLACK) - _error(images[:, 1:2], b)))
+    constant = np.exp(daz + dzb) / (4.0 * np.sinh(0.5 * dab))
+    return lhs, constant * dfa, constant, (points, images)
+
+
+def _power(w, power):
+    # Python's complex ** int up to 100: CPython's squarings
+    value, square, bit = np.ones_like(w), w, 1
+    while bit <= min(power.max(), 100):
+        value = np.where(power[:, None] & bit, value * square, value)
+        square, bit = square * square, bit << 1
+    return value
+
+
+def _principal(w):
+    # covering._principal_value
+    return np.angle(w) / math.tau + 1j * (-np.log(np.abs(w)) / math.tau)
+
+
+def _punctured_dist(w, v):
+    """``covering.punctured_dist``: the nearer deck translate, by ``models._dist_upper``."""
+    u, v = _principal(w), _principal(v)
+    k = np.floor(v.real - u.real)
+    lower, upper = ((2.0 * np.arcsinh(np.abs(x - v) / (2.0 * np.sqrt(x.imag * v.imag))))
+                    for x in (u + k, u + (k + 1.0)))
+    return np.where(lower <= upper, lower, upper)
+
+
+def _punctured(cfg, words, unsure):
+    max_power = sampler_param(cfg.family_params, "max_power", 4)
+    power, out = _draw_integer(outputs(words[:, 0], (max_power > 1) + 2), 1, max_power + 1,
+                               unsure)
+    unsure |= power > 100  # Python raises those to their power in polar form
+    u = doubles(out)
+    spin = np.exp(1j * (math.tau * u[:, :1]))
+    decay = sampler_param(cfg.family_params, "max_decay", 2.0) * u[:, 1:]
+
+    def f(w):
+        return spin * _power(w, power) * np.exp(decay * (w - 1.0))
+
+    # h's rotation, then a's attempts two doubles each, then z's two each
+    u = doubles(outputs(words[:, 1], 1 + 4 * TRIES))
+    lo, hi = math.log(0.05), math.log(0.95)
+    tries = (np.exp(lo + (hi - lo) * u[:, 1:1 + 2 * TRIES:2])
+             * np.exp(1j * (math.tau * u[:, 2:2 + 2 * TRIES:2])))
+    r = np.abs(f(tries))
+    passed = (r > BOUNDARY_MARGIN) & (r < 1.0 - BOUNDARY_MARGIN)
+    t = _first(passed, _near(r, BOUNDARY_MARGIN) | _near(r, 1.0 - BOUNDARY_MARGIN), unsure)
+    a = _take(tries, t)
+    lift = _principal(a)
+    v = _take(u, 2 * t[:, None] + 3 + np.arange(2 * TRIES))
+    w = _sample_disc_points(min(4.0, cfg.max_radius), v)
+    tries = np.exp(2j * math.pi * (lift.real + lift.imag * ((1j * w + 1j) / (-1.0 * w + 1.0))))
+    r, image = np.abs(tries), np.abs(f(tries))
+    passed = (1e-6 < r) & (r < 1.0 - 1e-8) & (image > 1e-12)
+    near = _near(r, 1e-6) | _near(r, 1.0 - 1e-8) | _near(image, 1e-12)
+    z = _take(tries, _first(passed, near, unsure))
+    points = np.concatenate([a, z], axis=1)
+    fa, fz = f(points).T[:, :, None]
+    ha, hz = (np.exp(1j * (math.tau * u[:, :1])) * _power(points, power)).T[:, :, None]
+    images = np.concatenate([fa, fz, ha, hz], axis=1)
+    _flag(unsure, _refused(images, punctured=True))
+    # d*(z, a), d*(f(z), h(z)), d*(f(a), h(a))
+    dza, lhs, dfa = _punctured_dist(np.concatenate([z, fz, fa], axis=1),
+                                    np.concatenate([a, hz, ha], axis=1)).T[:, :, None]
+    r = np.abs(a)
+    constant = (8.0 * (-1.0 / (r * np.log(r))) * np.exp(dza)) ** 3
+    return lhs, constant * dfa, constant, (points, images)
+
+
+_RUNNERS = {"two_point": _two_point, "two_point_sharp": _two_point,
+            "fixed_point": _fixed_point, "punctured": _punctured}
+
+
+def run_block(cfg, words: np.ndarray) -> tuple:
+    """The samples whose seed words ``words`` holds, as ``block_states``
+    gives them, as one batch: each lane's lhs and rhs, a bound on the error
+    of its margin rhs - lhs, and the lanes the batch cannot decide for
+    certain, whose other entries may be anything."""
+    unsure = np.zeros(len(words), dtype=bool)
+    with np.errstate(all="ignore"):
+        lhs, rhs, constant, seen = _RUNNERS[cfg.theorem](cfg, words, unsure)
+        lhs, rhs, constant = lhs[:, 0], rhs[:, 0], constant[:, 0]
+        scale = np.maximum(np.maximum(1.0, constant), np.maximum(np.abs(lhs), np.abs(rhs)))
+        err = np.maximum(SLACK, _error(*(np.abs(x).max(axis=1) for x in seen))) * scale
+        unsure |= ~(np.isfinite(lhs) & np.isfinite(rhs) & np.isfinite(err))
+    return lhs, rhs, err, unsure

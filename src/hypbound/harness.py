@@ -5,8 +5,11 @@ Determinism contract: every sample is rebuilt from (seed, index) through a
 fixed seed-splitting rule, and reports aggregate in index order, so a
 campaign's output is byte-identical across re-runs and any sample replays
 through ``run_sample``. ``run_sample`` applies the rule through numpy itself
-and is the scalar reference; a campaign seeds its samples through
-``seeding.campaign_seeds``, a vectorised port of the rule.
+and, with the per-theorem runners, is the scalar reference. A campaign runs
+its samples a block at a time through ``batch``, which draws what the runners
+draw, and re-runs through a runner each sample the batch cannot decide for
+certain and each that a reported statistic may read: a report's bytes are
+those of the runners.
 """
 
 from __future__ import annotations
@@ -250,7 +253,7 @@ def _run_punctured(cfg: CampaignConfig, index: int, seeds) -> BoundReport:
 
 
 # A runner draws sample ``index`` from its four seeds (the ints of derive_seeds, or
-# their seeding.campaign_seeds stand-ins) and returns its bound's unserialised report.
+# their seeding.SampleSeeds stand-ins) and returns its bound's unserialised report.
 _RUNNERS: dict[str, Callable[..., BoundReport]] = {
     "two_point": _run_two_point,
     "two_point_sharp": _run_two_point,
@@ -261,7 +264,7 @@ _RUNNERS: dict[str, Callable[..., BoundReport]] = {
 
 def run_sample(cfg: CampaignConfig, index: int) -> BoundReport:
     """Rebuild and re-check the single sample ``index`` of a campaign; the
-    scalar reference for the block-seeded ``run_campaign``."""
+    scalar reference for the batched ``run_campaign``."""
     report = _RUNNERS[cfg.theorem](cfg, index, derive_seeds(cfg.seed, index))
     return report.for_sample(cfg.seed, index)
 
@@ -269,25 +272,58 @@ def run_sample(cfg: CampaignConfig, index: int) -> BoundReport:
 def run_campaign(cfg: CampaignConfig) -> CampaignReport:
     """Evaluate every sample of the configured family against the configured
     bound, in index order. Deterministic in (seed, samples). Only violating
-    samples are reported, as ``run_sample`` reports them."""
-    start = time.perf_counter()
-    # imported here, as it imports numpy.random, which numpy loads on first use
-    from .seeding import campaign_seeds
+    samples are reported, as ``run_sample`` reports them.
 
-    runner = _RUNNERS[cfg.theorem]
-    margins, violations = [], []
-    for i, seeds in enumerate(campaign_seeds(cfg.seed, cfg.samples)):
+    Samples run ``seeding.BLOCK`` at a time through ``batch.run_block``. A
+    lane the batch cannot decide for certain, or whose margin may pass the
+    tolerance, is re-run through its scalar runner, in index order; so is
+    every lane that may hold one of the ranks ``margin_stats`` reads, so the
+    statistics are those of the scalar margins."""
+    start = time.perf_counter()
+    # imported here, as they import numpy.random, which numpy loads on first use
+    from .batch import run_block
+    from .seeding import BLOCK, SampleSeeds, block_states
+
+    margins, errors = np.empty(cfg.samples), np.empty(cfg.samples)
+    violations = {}
+
+    def rescue(i: int, seeds) -> None:
         try:
-            report = runner(cfg, i, seeds)
+            report = _RUNNERS[cfg.theorem](cfg, i, seeds)
         except HypboundError as exc:
             raise type(exc)(f"sample {i} of seed {cfg.seed}: {exc}") from exc
-        margins.append(report.margin)
+        margins[i], errors[i] = report.margin, 0.0
         if report.violated:
-            violations.append(report.for_sample(cfg.seed, i))
-    margins = np.array(margins)
+            violations[i] = report.for_sample(cfg.seed, i)
+
+    for lo in range(0, cfg.samples, BLOCK):
+        words = block_states(cfg.seed, lo, min(lo + BLOCK, cfg.samples))
+        lhs, rhs, err, unsure = run_block(cfg, words)
+        block = slice(lo, lo + len(words))
+        margins[block], errors[block] = rhs - lhs, err
+        for j in np.flatnonzero(unsure | ~(margins[block] + cfg.tolerance > err)).tolist():
+            rescue(lo + j, SampleSeeds(words[j]))
+    for i in _rank_lanes(margins, errors):
+        rescue(i, SampleSeeds(words[i - lo]) if i >= lo else derive_seeds(cfg.seed, i))
     stats = {"min": float(margins.min()), "median": float(np.median(margins)),
              "p99": float(np.percentile(margins, 99)), "max": float(margins.max())}
-    return CampaignReport(cfg, violations, stats, time.perf_counter() - start)
+    return CampaignReport(cfg, [violations[i] for i in sorted(violations)], stats,
+                          time.perf_counter() - start)
+
+
+def _rank_lanes(margins: np.ndarray, errors: np.ndarray) -> list:
+    """The inexact lanes (error above 0) that may hold a rank the statistics
+    read: min, max, median and p99. The margin of lane i lies within
+    errors[i] of margins[i], so the margin at rank r lies between the r-th
+    smallest lower and upper ends; a lane whose range misses that interval
+    is on the same side of it exactly as in the batch."""
+    n = len(margins)
+    p99 = math.floor((n - 1) * 0.99)  # np.percentile interpolates from here to the next
+    ranks = np.unique(np.minimum([0, (n - 1) // 2, n // 2, p99, p99 + 1, n - 1], n - 1))
+    lower, upper = margins - errors, margins + errors
+    lo, hi = np.sort(lower)[ranks], np.sort(upper)[ranks]
+    near = ((upper[:, None] >= lo) & (lower[:, None] <= hi)).any(axis=1)
+    return [int(i) for i in np.flatnonzero(near & (errors > 0.0))]
 
 
 def halfplane_growth(n_values) -> list:

@@ -80,6 +80,9 @@ class Mobius(HoloMap):
 
     def __post_init__(self) -> None:
         a, b, c, d = (complex(self.a), complex(self.b), complex(self.c), complex(self.d))
+        for name, entry in zip("abcd", (a, b, c, d)):
+            if not cmath.isfinite(entry):
+                raise ValidationError(f"entry {name} must be finite, not {entry!r}")
         det = a * d - b * c
         if abs(det) < 1e-12:
             raise ValidationError("matrix is numerically singular")

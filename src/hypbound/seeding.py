@@ -94,9 +94,15 @@ class ChildSeed(ISeedSequence):
         return self._words
 
 
-def campaign_seeds(seed: int, samples: int):
-    """The four seeds of each sample of a campaign in index order, standing
-    in for ``derive_seeds(seed, i)``; computed ``BLOCK`` samples at a time."""
-    for start in range(0, samples, BLOCK):
-        for row in block_states(seed, start, min(start + BLOCK, samples)):
-            yield [ChildSeed(words) for words in row]
+class SampleSeeds:
+    """The four child seeds of one sample, standing in for
+    ``derive_seeds(seed, i)``: row i of ``block_states`` makes a ``ChildSeed``
+    only for the streams a runner reads."""
+
+    __slots__ = ("_row",)
+
+    def __init__(self, row: np.ndarray) -> None:
+        self._row = row
+
+    def __getitem__(self, k: int) -> ChildSeed:
+        return ChildSeed(self._row[k])

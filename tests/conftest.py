@@ -36,10 +36,12 @@ def random_punctured_point(rng: np.random.Generator) -> ModelPoint:
     return ModelPoint.punctured(r * cmath.exp(1j * rng.uniform(0.0, TWO_PI)))
 
 
-def replayed_campaign(cfg: CampaignConfig) -> CampaignReport:
-    """The campaign report assembled in index order from ``run_sample`` alone:
-    its violations and margin statistics, timing set to zero."""
-    reports = [run_sample(cfg, i) for i in range(cfg.samples)]
+def replayed_campaign(cfg: CampaignConfig, reports=None) -> CampaignReport:
+    """The campaign report assembled in index order from ``run_sample`` alone
+    (or from ``reports``, its results): its violations and margin
+    statistics, timing set to zero."""
+    if reports is None:
+        reports = [run_sample(cfg, i) for i in range(cfg.samples)]
     margins = [r.margin for r in reports]
     stats = {"min": min(margins), "median": float(np.median(margins)),
              "p99": float(np.percentile(margins, 99)), "max": max(margins)}

@@ -1,0 +1,206 @@
+import numpy as np
+import pytest
+
+from hypbound import (CampaignConfig, ModelPoint, dist, harness, run_campaign, run_sample,
+                      seeding)
+from hypbound.batch import TRIES, doubles, integers, outputs, run_block
+from hypbound.seeding import BLOCK, ChildSeed, SampleSeeds, _seed_sequence, block_states
+
+from conftest import replayed_campaign
+
+_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG64's multiplier
+_MOD = 1 << 128
+
+
+def generator(words):
+    return np.random.Generator(np.random.PCG64(ChildSeed(words)))
+
+
+def zero_first_output(initseq: int) -> np.ndarray:
+    """Seed words whose PCG64 gives 0 as its first output: its state then
+    has equal 64-bit halves under a rotation of 0."""
+    state = (12345 << 64) | 12345
+    inc = 2 * initseq + 1
+    # the state after the first output is M^2 s + (M (M + 1) + 1) inc
+    s = (state - (_MULT * (_MULT + 1) + 1) * inc) * pow(_MULT * _MULT, -1, _MOD) % _MOD
+    return np.array([s >> 64, s & (2 ** 64 - 1), initseq >> 64, initseq & (2 ** 64 - 1)],
+                    dtype=np.uint64)
+
+
+class TestPort:
+    def test_doubles_match_generator_random(self):
+        # 3 blocks of 4 child seeds each, and the crafted children of
+        # test_child_seeds_below_two_to_the_32
+        children = np.array([0, 1, 5, 2018, 2 ** 31, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1],
+                            dtype=np.uint64)
+        lanes = np.concatenate([
+            block_states(2018, 0, BLOCK).reshape(-1, 4),
+            block_states(7, 2 ** 32, 2 ** 32 + BLOCK).reshape(-1, 4),
+            block_states(2 ** 64 + 3, BLOCK, 2 * BLOCK).reshape(-1, 4),
+            np.stack(_seed_sequence([children & 0xFFFFFFFF, children >> 32], 4), axis=1),
+        ])
+        assert len(lanes) >= 10 ** 4
+        got = doubles(outputs(lanes, 34))
+        want = np.array([generator(w).random(34) for w in lanes])
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("lo, hi", [(0, 3), (1, 3), (1, 4), (1, 5), (1, 6), (1, 17),
+                                        (1, 41), (1, 401), (0, 3 * 2 ** 30)])
+    def test_integers_match_generator_integers(self, lo, hi):
+        lanes = block_states(5, 0, BLOCK).reshape(-1, 4)
+        first = outputs(lanes, 1)[:, 0]
+        value, rejected = integers(first, lo, hi)
+        want = np.array([generator(w).integers(lo, hi) for w in lanes])
+        assert np.array_equal(value[~rejected], want[~rejected])
+        # numpy reads a rejected draw's next 32 bits, the high half of the same output
+        again, twice = integers(first >> np.uint64(32), lo, hi)
+        assert np.array_equal(again[rejected & ~twice], want[rejected & ~twice])
+        assert rejected.any() == (hi - lo > 2 ** 20)
+
+    def test_lemire_rejection_is_rescued(self, monkeypatch):
+        # a first output of 0 leaves integers(0, 3) a leftover of 0, which
+        # numpy rejects: it reads on, and lane 3's mix kind is not the batch's
+        lane = next(w for w in map(zero_first_output, range(1, 50))
+                    if generator(w).integers(0, 3) != 0)
+        assert generator(lane).bit_generator.random_raw() == 0
+        assert integers(outputs(lane[None], 1)[:, 0], 0, 3)[1][0]
+        real = seeding.block_states
+
+        def crafted(seed, start, stop):
+            words = real(seed, start, stop).copy()
+            if start <= 3 < stop:
+                words[3 - start, 0] = lane
+            return words
+
+        cfg = CampaignConfig("two_point", "mix", 8, 5)
+        words = crafted(cfg.seed, 0, cfg.samples)
+        lhs, rhs, _, unsure = run_block(cfg, words)
+        assert unsure.tolist() == [i == 3 for i in range(cfg.samples)]
+        want = harness._RUNNERS[cfg.theorem](cfg, 3, SampleSeeds(words[3]))
+        assert rhs[3] - lhs[3] != want.margin
+        margins = {}
+        runner = harness._RUNNERS[cfg.theorem]
+
+        def recorded(cfg, index, seeds):
+            report = runner(cfg, index, seeds)
+            margins[index] = report.margin
+            return report
+
+        monkeypatch.setattr(seeding, "block_states", crafted)
+        monkeypatch.setitem(harness._RUNNERS, cfg.theorem, recorded)
+        run_campaign(cfg)
+        assert margins[3] == want.margin
+
+
+# every family, and deg-16 Blaschke, over a block edge
+FAMILIES = [
+    ("two_point", "blaschke", {}),
+    ("two_point_sharp", "blaschke", {"max_degree": 16}),
+    ("two_point", "automorphism", {}),
+    ("two_point", "mix", {}),
+    ("two_point", "realpart", {}),
+    ("fixed_point", "fixing", {}),
+    ("punctured", "exp", {}),
+]
+
+
+def batch(cfg):
+    """run_block over a whole campaign, a block at a time."""
+    blocks = [run_block(cfg, block_states(cfg.seed, lo, min(lo + BLOCK, cfg.samples)))
+              for lo in range(0, cfg.samples, BLOCK)]
+    return [np.concatenate(parts) for parts in zip(*blocks)]
+
+
+@pytest.mark.parametrize("theorem, family, params", FAMILIES,
+                         ids=[f"{t}-{f}{'-deg16' if p else ''}" for t, f, p in FAMILIES])
+def test_batch_agrees_with_run_sample(theorem, family, params):
+    cfg = CampaignConfig(theorem, family, BLOCK + 3, 9, family_params=params)
+    lhs, rhs, err, unsure = batch(cfg)
+    reports = [run_sample(cfg, i) for i in range(cfg.samples)]
+    want_lhs, want_rhs = np.array([(r.lhs, r.rhs) for r in reports]).T
+    sure = ~unsure
+    assert sure.sum() >= 0.99 * cfg.samples
+    assert np.all(np.abs(lhs - want_lhs)[sure] <= 1e-12 * np.abs(want_lhs)[sure])
+    assert np.all(np.abs(rhs - want_rhs)[sure] <= 1e-12 * np.abs(want_rhs)[sure])
+    scale = np.maximum(np.abs(want_lhs), np.abs(want_rhs))
+    off = np.abs((rhs - lhs) - (want_rhs - want_lhs))[sure]
+    assert np.all(off <= 1e-12 * scale[sure])
+    assert np.all(off <= err[sure])
+    violated = np.array([r.violated for r in reports])
+    assert np.array_equal((rhs - lhs < -cfg.tolerance)[sure], violated[sure])
+    # the campaign's bytes are those of the report assembled from run_sample
+    assert (run_campaign(cfg).to_json(include_timing=False)
+            == replayed_campaign(cfg, reports).to_json(include_timing=False))
+
+
+@pytest.mark.parametrize("theorem, family", [("two_point", "mix"), ("fixed_point", "fixing")])
+def test_error_bound_far_out(theorem, family):
+    # near the radius limit disc distances lose digits, and the batch's
+    # error bound grows with them
+    cfg = CampaignConfig(theorem, family, 300, 4, max_radius=14.5)
+    lhs, rhs, err, unsure = batch(cfg)
+    reports = [run_sample(cfg, i) for i in range(cfg.samples)]
+    margins = np.array([r.margin for r in reports])
+    assert np.all(np.abs((rhs - lhs) - margins)[~unsure] <= err[~unsure])
+    assert (run_campaign(cfg).to_json(include_timing=False)
+            == replayed_campaign(cfg, reports).to_json(include_timing=False))
+
+
+def test_rejection_loop_past_the_drawn_attempts_is_rescued(monkeypatch):
+    # at min_sep 2.5 within radius 3, b often needs more attempts than the
+    # batch draws; harness.dist is called once per attempt
+    cfg = CampaignConfig("two_point", "mix", 300, 3, min_sep=2.5)
+    *_, unsure = batch(cfg)
+    attempts = []
+    real = harness.dist
+    monkeypatch.setattr(harness, "dist", lambda u, v: attempts.append(1) or real(u, v))
+    long = []
+    for i in range(cfg.samples):
+        attempts.clear()
+        run_sample(cfg, i)
+        if len(attempts) > TRIES:
+            long.append(i)
+    monkeypatch.undo()
+    assert long and unsure[long].all()
+    assert (run_campaign(cfg).to_json(include_timing=False)
+            == replayed_campaign(cfg).to_json(include_timing=False))
+
+
+def test_degree_past_the_padding_is_rescued():
+    cfg = CampaignConfig("two_point", "blaschke", 60, 2, family_params={"max_degree": 40})
+    *_, unsure = batch(cfg)
+    degrees = np.array([len(run_sample(cfg, i).witnesses["f"]["zeros"])
+                        for i in range(cfg.samples)])
+    assert (degrees > 32).any()
+    assert np.array_equal(unsure, degrees > 32)
+    assert (run_campaign(cfg).to_json(include_timing=False)
+            == replayed_campaign(cfg).to_json(include_timing=False))
+
+
+def test_margin_at_the_tolerance_is_rescued():
+    # a tolerance strictly between a sample's batch and scalar margins: the
+    # two verdicts differ, and the campaign must report the scalar one
+    cfg = CampaignConfig("two_point", "realpart", 200, 7)
+    lhs, rhs, _, unsure = batch(cfg)
+    exact = np.array([run_sample(cfg, i).margin for i in range(cfg.samples)])
+    apart = np.flatnonzero(~unsure & (rhs - lhs > np.nextafter(exact, np.inf)))
+    i = apart[0]
+    tolerance = -np.nextafter(exact[i], np.inf)
+    assert exact[i] < -tolerance <= rhs[i] - lhs[i]
+    cfg = CampaignConfig("two_point", "realpart", 200, 7, tolerance=float(tolerance))
+    report = run_campaign(cfg)
+    assert i in {v.witnesses["index"] for v in report.violations}
+    assert report.to_json(include_timing=False) == replayed_campaign(cfg).to_json(False)
+
+
+def test_separation_at_min_sep_is_rescued():
+    # min_sep equal to the distance of a sample's first attempt at b: the
+    # scalar runner accepts it, the batch may not, and leaves it unsure
+    cfg = CampaignConfig("two_point", "mix", 50, 8)
+    w = run_sample(cfg, 5).witnesses
+    a, b = (ModelPoint.from_dict(w[k]) for k in "ab")
+    cfg = CampaignConfig("two_point", "mix", 50, 8, min_sep=dist(b, a))
+    *_, unsure = batch(cfg)
+    assert unsure[5]
+    assert (run_campaign(cfg).to_json(include_timing=False)
+            == replayed_campaign(cfg).to_json(include_timing=False))

@@ -19,6 +19,7 @@ from hypbound import (
     dist_to_axis,
     hyperbolic_pull,
     is_infinite,
+    map_from_dict,
     qlo_bound,
 )
 
@@ -33,6 +34,22 @@ def random_disc_automorphism(rng) -> Mobius:
 
 
 class TestMobiusType:
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", "abcd")
+    def test_non_finite_entry_refused(self, name, value):
+        entries = {"a": 1.0, "b": 0.0, "c": 0.0, "d": 1.0, name: complex(value, 0.0)}
+        with pytest.raises(ValidationError, match=f"^entry {name} must be finite"):
+            Mobius(**entries, model=Model.DISC)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("row, part", [(0, 0), (1, 1), (3, 0)])
+    def test_non_finite_entry_refused_from_json(self, row, part, value):
+        matrix = [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]
+        matrix[row][part] = value
+        spec = {"variant": "mobius_automorphism", "model": "disc", "matrix": matrix}
+        with pytest.raises(ValidationError, match=f"^entry {'abcd'[row]} must be finite"):
+            map_from_dict(spec)
+
     def test_normalization(self):
         m = Mobius(2.0, 0.0, 0.0, 2.0, Model.UPPER_HALF_PLANE)
         det = m.a * m.d - m.b * m.c

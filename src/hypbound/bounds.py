@@ -13,7 +13,7 @@ from .errors import DomainError, PreconditionError
 from .holomaps import HoloMap, evaluate, reference_degree
 from .mobius import Mobius, apply, classify, dist_to_axis, is_isometry
 from .models import ModelPoint, density_punctured, dist
-from .report import DEFAULT_TOLERANCE, BoundReport
+from .report import DEFAULT_TOLERANCE, BoundReport, witnesses
 
 MIN_SEPARATION = 1e-9
 
@@ -67,7 +67,7 @@ def check_two_point(f: HoloMap, a: ModelPoint, b: ModelPoint, z: ModelPoint,
         inputs["h"] = h
     lhs = dist(evaluate(f, z), hz)
     rhs = constant * (dist(evaluate(f, a), ha) + dist(evaluate(f, b), hb))
-    return BoundReport(tag, lhs, rhs, constant, inputs, tolerance)
+    return BoundReport(tag, lhs, rhs, constant, tolerance, witnesses(**inputs))
 
 
 def check_fixed_point(f: HoloMap, a: ModelPoint, b: ModelPoint, z: ModelPoint,
@@ -81,8 +81,8 @@ def check_fixed_point(f: HoloMap, a: ModelPoint, b: ModelPoint, z: ModelPoint,
     constant = math.exp(dist(a, z) + dist(z, b)) / (4.0 * math.sinh(0.5 * dab))
     lhs = dist(evaluate(f, z), z)
     rhs = constant * dist(evaluate(f, a), a)
-    return BoundReport("fixed_point", lhs, rhs, constant, {"f": f, "a": a, "b": b, "z": z},
-                       tolerance)
+    return BoundReport("fixed_point", lhs, rhs, constant, tolerance,
+                       witnesses(f=f, a=a, b=b, z=z))
 
 
 def check_punctured(f: HoloMap, h: HoloMap, a: ModelPoint, z: ModelPoint,
@@ -95,8 +95,8 @@ def check_punctured(f: HoloMap, h: HoloMap, a: ModelPoint, z: ModelPoint,
     constant = growth ** 3
     lhs = punctured_dist(evaluate(f, z), evaluate(h, z))
     rhs = constant * punctured_dist(evaluate(f, a), evaluate(h, a))
-    return BoundReport("punctured", lhs, rhs, constant,
-                       {"f": f, "h": h, "a": a, "z": z, "L": growth}, tolerance)
+    return BoundReport("punctured", lhs, rhs, constant, tolerance,
+                       witnesses(f=f, h=h, a=a, z=z, L=growth))
 
 
 def qlo_bound(w: ModelPoint, c: ModelPoint, h: Mobius,
@@ -120,7 +120,6 @@ def qlo_bound(w: ModelPoint, c: ModelPoint, h: Mobius,
     base = dist(c, apply(h, c))
     growth = math.exp(dist(w, c))
     w_axis = dist_to_axis(w, cls.axis, h.model)
-    inputs = {"w": w, "c": c, "h": h, "axis_distance": w_axis,
-              "identity_lhs": math.sinh(0.5 * lhs),
-              "identity_rhs": math.cosh(w_axis) * math.sinh(0.5 * base)}
-    return BoundReport("qlo", lhs, growth * base, growth, inputs, tolerance)
+    return BoundReport("qlo", lhs, growth * base, growth, tolerance, witnesses(
+        w=w, c=c, h=h, axis_distance=w_axis, identity_lhs=math.sinh(0.5 * lhs),
+        identity_rhs=math.cosh(w_axis) * math.sinh(0.5 * base)))

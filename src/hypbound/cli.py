@@ -206,9 +206,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "realpart | fixing[:deg=N] | exp[:m=N,c=X]")
     p.add_argument("--samples", type=int, default=1000)
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--min-sep", type=float, default=0.1)
-    p.add_argument("--max-radius", type=float, default=6.0)
-    p.add_argument("--tolerance", type=float, default=1e-9)
+    p.add_argument("--min-sep", type=float, default=CampaignConfig.min_sep)
+    p.add_argument("--max-radius", type=float, default=CampaignConfig.max_radius)
+    p.add_argument("--tolerance", type=float, default=CampaignConfig.tolerance)
     p.add_argument("--out", default=None, help="write the JSON report here")
     p.set_defaults(func=_cmd_verify)
 

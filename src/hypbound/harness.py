@@ -41,20 +41,20 @@ from .holomaps import (
 )
 from .mobius import build_disc_automorphism
 from .models import TO_UPPER, Model, ModelPoint, _mapply, disc_radius_limit, dist
-from .report import BoundReport, fmt17
+from .report import DEFAULT_TOLERANCE, BoundReport, fmt17
 
 SCHEMA_VERSION = 1
 
 _TWO_POINT = {"two_point", "two_point_sharp"}
 
-# family -> (the theorems it drives, the family_params it takes)
+# family -> (the theorems it drives, the family_params it takes and their defaults)
 _FAMILIES = {
-    "blaschke": (_TWO_POINT, {"max_degree"}),
-    "automorphism": (_TWO_POINT, set()),
-    "mix": (_TWO_POINT, {"max_degree"}),
-    "realpart": (_TWO_POINT, set()),
-    "fixing": ({"fixed_point"}, {"max_degree"}),
-    "exp": ({"punctured"}, {"max_power", "max_decay"}),
+    "blaschke": (_TWO_POINT, {"max_degree": 5}),
+    "automorphism": (_TWO_POINT, {}),
+    "mix": (_TWO_POINT, {"max_degree": 5}),
+    "realpart": (_TWO_POINT, {}),
+    "fixing": ({"fixed_point"}, {"max_degree": 4}),
+    "exp": ({"punctured"}, {"max_power": 4, "max_decay": 2.0}),
 }
 
 
@@ -67,16 +67,16 @@ class CampaignConfig:
     family_params: dict = field(default_factory=dict)
     min_sep: float = 0.1
     max_radius: float = 6.0
-    tolerance: float = 1e-9
+    tolerance: float = DEFAULT_TOLERANCE
 
     def __post_init__(self) -> None:
         if self.theorem not in _RUNNERS:
             raise UsageError(f"unknown theorem {self.theorem!r}")
-        theorems, params = _FAMILIES.get(self.family, (set(), set()))
+        theorems, params = _FAMILIES.get(self.family, (set(), {}))
         if self.theorem not in theorems:
             raise UsageError(
                 f"family {self.family!r} cannot drive theorem {self.theorem!r}")
-        extra = sorted(set(self.family_params) - params)
+        extra = sorted(set(self.family_params).difference(params))
         if extra:
             raise UsageError(f"family {self.family!r} takes no parameter {extra[0]!r}")
         for key in self.family_params:
@@ -95,6 +95,12 @@ class CampaignConfig:
             raise UsageError(
                 f"max_radius {self.max_radius:g} is above {limit:.4g}, beyond which disc "
                 f"distances may err by more than the tolerance {self.tolerance:g}")
+
+    @property
+    def params(self) -> dict:
+        """The family's parameters: those given, else its defaults."""
+        given = {**_FAMILIES[self.family][1], **self.family_params}
+        return {key: sampler_param(given, key) for key in given}
 
     def to_dict(self) -> dict:
         return {**vars(self), "family_params": dict(sorted(self.family_params.items()))}
@@ -156,21 +162,20 @@ def _separated(draw: Callable[[], ModelPoint], other: ModelPoint, min_sep: float
 
 def _draw_disc_map(cfg: CampaignConfig, seeds) -> HoloMap:
     if cfg.family == "blaschke":
-        return sample_map("blaschke", seeds[0], cfg.family_params)
+        return sample_map("blaschke", seeds[0], cfg.params)
     if cfg.family == "automorphism":
         return sample_map("disc_automorphism", seeds[0])
     if cfg.family == "realpart":
         return RealPartMap()
     # mix: one of Blaschke, automorphism, or their composition
     kind = int(np.random.default_rng(seeds[0]).integers(0, 3))
-    deg = sampler_param(cfg.family_params, "max_degree", 5)
     if kind == 0:
-        return sample_map("blaschke", seeds[2], {"max_degree": deg})
+        return sample_map("blaschke", seeds[2], cfg.params)
     if kind == 1:
         return sample_map("disc_automorphism", seeds[2])
     return Composition((
         sample_map("disc_automorphism", seeds[2]),
-        sample_map("blaschke", seeds[3], {"max_degree": max(1, deg - 1)}),
+        sample_map("blaschke", seeds[3], {"max_degree": max(1, cfg.params["max_degree"] - 1)}),
     ))
 
 
@@ -204,7 +209,7 @@ def _run_fixed_point(cfg: CampaignConfig, index: int, seeds) -> BoundReport:
     z = _sample_disc_point(uniform, half)
     # conjugate w * B(w) (a Blaschke product with an extra zero at 0, hence
     # fixing 0) by the automorphism exchanging 0 and b
-    deg = max(1, sampler_param(cfg.family_params, "max_degree", 4) - 1)
+    deg = max(1, cfg.params["max_degree"] - 1)
     inner = sample_map("blaschke", seeds[0], {"max_degree": deg})
     fixing_zero = BlaschkeProduct(inner.rotation, (0.0,) + inner.zeros)
     sigma = build_disc_automorphism(b, 0.0)
@@ -245,15 +250,14 @@ def _punctured_nearby_point(uniform: Callable[..., float], a: ModelPoint,
 
 def _run_punctured(cfg: CampaignConfig, index: int, seeds) -> BoundReport:
     uniform = _uniforms(np.random.default_rng(seeds[1]))
-    f = sample_map("punctured_exp", seeds[0], cfg.family_params)
+    f = sample_map("punctured_exp", seeds[0], cfg.params)
     h = PuncturedPower(uniform(0.0, math.tau), f.power)
     a = _punctured_base_point(uniform, f)
     z = _punctured_nearby_point(uniform, a, min(4.0, cfg.max_radius), f)
     return check_punctured(f, h, a, z, cfg.tolerance)
 
 
-# A runner draws sample ``index`` from its four seeds (the ints of derive_seeds, or
-# their seeding.SampleSeeds stand-ins) and returns its bound's unserialised report.
+# runner(cfg, index, seeds): the report of sample index, drawn from derive_seeds or SampleSeeds
 _RUNNERS: dict[str, Callable[..., BoundReport]] = {
     "two_point": _run_two_point,
     "two_point_sharp": _run_two_point,
@@ -262,11 +266,18 @@ _RUNNERS: dict[str, Callable[..., BoundReport]] = {
 }
 
 
+def _run(cfg: CampaignConfig, index: int, seeds) -> BoundReport:
+    """Sample ``index`` through its runner; an error names the sample."""
+    try:
+        return _RUNNERS[cfg.theorem](cfg, index, seeds).for_sample(cfg.seed, index)
+    except HypboundError as exc:
+        raise type(exc)(f"sample {index} of seed {cfg.seed}: {exc}") from exc
+
+
 def run_sample(cfg: CampaignConfig, index: int) -> BoundReport:
     """Rebuild and re-check the single sample ``index`` of a campaign; the
     scalar reference for the batched ``run_campaign``."""
-    report = _RUNNERS[cfg.theorem](cfg, index, derive_seeds(cfg.seed, index))
-    return report.for_sample(cfg.seed, index)
+    return _run(cfg, index, derive_seeds(cfg.seed, index))
 
 
 def run_campaign(cfg: CampaignConfig) -> CampaignReport:
@@ -288,13 +299,10 @@ def run_campaign(cfg: CampaignConfig) -> CampaignReport:
     violations = {}
 
     def rescue(i: int, seeds) -> None:
-        try:
-            report = _RUNNERS[cfg.theorem](cfg, i, seeds)
-        except HypboundError as exc:
-            raise type(exc)(f"sample {i} of seed {cfg.seed}: {exc}") from exc
+        report = _run(cfg, i, seeds)
         margins[i], errors[i] = report.margin, 0.0
         if report.violated:
-            violations[i] = report.for_sample(cfg.seed, i)
+            violations[i] = report
 
     for lo in range(0, cfg.samples, BLOCK):
         words = block_states(cfg.seed, lo, min(lo + BLOCK, cfg.samples))

@@ -328,11 +328,11 @@ _PARAM_RANGES = {
 }
 
 
-def sampler_param(params: dict, key: str, default=None):
-    """``params[key]``, or ``default`` when absent, as its type and within
-    its range; a value out of range is a UsageError."""
+def sampler_param(params: dict, key: str):
+    """``params[key]`` as its type and within its range; a value out of
+    range is a UsageError."""
     convert, in_range, text = _PARAM_RANGES[key]
-    value = convert(params.get(key, default))
+    value = convert(params[key])
     if not in_range(value):
         raise UsageError(f"malformed {key}={value!r}: must be {text}")
     return value
@@ -342,16 +342,16 @@ def sample_map(family: str, seed, params: Optional[dict] = None) -> HoloMap:
     """Draw one map from a named family, deterministically in the seed.
     ``seed`` is any ``np.random.default_rng`` seed.
 
-    Families: ``blaschke`` (max_degree), ``disc_automorphism``,
-    ``punctured_exp`` (max_power, max_decay), ``near_identity`` (eps).
+    Families and their parameters, all required but eps: ``blaschke`` (max_degree),
+    ``disc_automorphism``, ``punctured_exp`` (max_power, max_decay), ``near_identity`` (eps).
     Blaschke zeros and automorphism centers stay within Euclidean radius
     0.95 to keep samples away from boundary degeneracy.
     """
-    params = params or {}
+    params = {key: sampler_param(params, key) for key in params or {}}
     rng = np.random.default_rng(seed)
     # each family draws its integers first, then all its uniforms in one call
     if family == "blaschke":
-        degree = int(rng.integers(1, sampler_param(params, "max_degree", 5) + 1))
+        degree = int(rng.integers(1, params["max_degree"] + 1))
         u = rng.random(2 * degree + 1).tolist()
         zeros = tuple(_disc_point(0.95, u[k], u[k + 1]) for k in range(0, 2 * degree, 2))
         return BlaschkeProduct(math.tau * u[-1], zeros)
@@ -359,13 +359,11 @@ def sample_map(family: str, seed, params: Optional[dict] = None) -> HoloMap:
         u = rng.random(3).tolist()
         return build_disc_automorphism(ModelPoint.disc(_disc_point(0.95, *u[:2])), math.tau * u[2])
     if family == "punctured_exp":
-        max_power = sampler_param(params, "max_power", 4)
-        max_decay = sampler_param(params, "max_decay", 2.0)
-        power = int(rng.integers(1, max_power + 1))
+        power = int(rng.integers(1, params["max_power"] + 1))
         u = rng.random(2).tolist()
-        return PuncturedExp(math.tau * u[0], power, max_decay * u[1])
+        return PuncturedExp(math.tau * u[0], power, params["max_decay"] * u[1])
     if family == "near_identity":
-        eps = sampler_param(params, "eps", 1e-3)
+        eps = params.get("eps", 1e-3)
         u = rng.random(3).tolist()
         # displacement at the origin is 2*atanh(|center|) < eps/4
         center = ModelPoint.disc(_disc_point(math.tanh(eps / 8.0), u[0], u[1]))

@@ -12,36 +12,22 @@ def fmt17(x: float) -> str:
     return format(float(x), ".17g")
 
 
-class _Witnesses:
-    """The ``witnesses`` field of a report: the dict it was given, or else
-    its inputs as JSON values (maps and points through their ``to_dict``),
-    derived on each read. ``dataclasses.replace`` passes the current
-    witnesses on as given; pass ``witnesses=None`` with new inputs."""
-
-    def __get__(self, report, owner=None):
-        if report is None:
-            return None  # the field's default: derive from the inputs
-        given = report.__dict__["_given_witnesses"]
-        return given if given is not None else {
-            k: v if isinstance(v, float) else v.to_dict() for k, v in report.inputs.items()}
-
-    def __set__(self, report, value) -> None:
-        report.__dict__["_given_witnesses"] = value
+def witnesses(**values) -> dict:
+    """A check's inputs as JSON: maps and points by their ``to_dict``, floats as they are."""
+    return {k: v if isinstance(v, float) else v.to_dict() for k, v in values.items()}
 
 
 @dataclass
 class BoundReport:
-    """One inequality evaluation: left side, right side, the constant in
-    front of the right side, the inputs it was evaluated at (maps and points
-    stay unserialised until asked for) and the tolerance of a violation."""
+    """One inequality evaluation: its two sides, the constant in front of the
+    right side, the tolerance of a violation and its inputs as JSON witnesses."""
 
     theorem: str
     lhs: float
     rhs: float
     constant: float
-    inputs: dict
     tolerance: float
-    witnesses: dict | None = _Witnesses()
+    witnesses: dict
 
     @property
     def margin(self) -> float:
@@ -52,11 +38,10 @@ class BoundReport:
         return self.margin < -self.tolerance
 
     def for_sample(self, seed: int, index: int) -> BoundReport:
-        """This report with its witnesses serialised once and the campaign
-        sample ``(seed, index)`` that replays it added. It drops the live
-        inputs, so the violations a campaign keeps hold no map or point."""
-        return BoundReport(self.theorem, self.lhs, self.rhs, self.constant, {},
-                           self.tolerance, {**self.witnesses, "seed": seed, "index": index})
+        """This report with the campaign sample ``(seed, index)`` that
+        replays it added to its witnesses."""
+        return BoundReport(self.theorem, self.lhs, self.rhs, self.constant, self.tolerance,
+                           {**self.witnesses, "seed": seed, "index": index})
 
     def to_dict(self) -> dict:
         return {

@@ -1,5 +1,4 @@
 import dataclasses
-import json
 import math
 
 import pytest
@@ -24,6 +23,7 @@ from hypbound import (
     dist,
     evaluate,
     punctured_dist,
+    qlo_bound,
     sample_map,
 )
 
@@ -161,21 +161,11 @@ class TestCheckTwoPoint:
         assert r.witnesses["f"]["variant"] == "blaschke"
         assert set(r.witnesses) >= {"f", "a", "b", "z"}
 
-    def test_inputs_named_like_a_sample_key_still_serialise(self):
-        r = check_two_point(BlaschkeProduct(0.1, (0.2,)), ModelPoint.disc(0.3),
-                            ModelPoint.disc(-0.3), ModelPoint.disc(0.5j))
-        named = dataclasses.replace(r, inputs={**r.inputs, "seed": ModelPoint.disc(0.1),
-                                               "index": ModelPoint.disc(0.2)}, witnesses=None)
-        json.dumps(named.to_dict())
-        assert named.witnesses["index"] == ModelPoint.disc(0.2).to_dict()
-        assert named.witnesses["f"]["variant"] == "blaschke"
-
     def test_given_witnesses_are_kept(self):
         r = check_two_point(BlaschkeProduct(0.1, (0.2,)), ModelPoint.disc(0.3),
                             ModelPoint.disc(-0.3), ModelPoint.disc(0.5j))
         sample = r.for_sample(7, 3)
         assert sample.witnesses == {**r.witnesses, "seed": 7, "index": 3}
-        assert sample.inputs == {}
         dropped = dataclasses.replace(sample, witnesses={k: v for k, v in sample.witnesses.items()
                                                          if k != "f"})
         assert set(dropped.to_dict()["witnesses"]) == {"a", "b", "z", "seed", "index"}
@@ -269,3 +259,85 @@ class TestCheckPunctured:
         with pytest.raises(PreconditionError):
             check_punctured(PuncturedExp(0.0, 2, 0.1), PuncturedExp(0.0, 2, 0.1),
                             ModelPoint.punctured(0.3), ModelPoint.punctured(0.2))
+
+
+def _disc(re, im):
+    return {"model": "disc", "re": re, "im": im}
+
+
+def _matrix(*entries):
+    return {"variant": "mobius_automorphism", "model": "disc",
+            "matrix": [list(e) for e in entries]}
+
+
+_F = {"variant": "blaschke", "rotation": 0.1, "zeros": [[0.2, 0.0], [0.0, 0.3]]}
+_ABZ = {"f": _F, "a": _disc(0.3, 0.0), "b": _disc(-0.3, 0.0), "z": _disc(0.0, 0.5)}
+_S, _RE, _IM = 1.072112534837795, 0.32163376045133846, 0.214422506967559
+
+
+def _pinned_reports():
+    f = BlaschkeProduct(0.1, (0.2, 0.3j))
+    a, b, z = ModelPoint.disc(0.3), ModelPoint.disc(-0.3), ModelPoint.disc(0.5j)
+    h = build_disc_automorphism(ModelPoint.disc(0.2 + 0.1j), 0.7)
+    fixed = ModelPoint.disc(0.3 + 0.2j)
+    sigma = build_disc_automorphism(fixed, 0.0)
+    g = Composition((sigma, BlaschkeProduct(0.4, (0.0, 0.5)), sigma.inverse()))
+    return {
+        "two_point": check_two_point(f, a, b, z),
+        "two_point_sharp": check_two_point(f, a, b, z, sharp=True),
+        "xjb": check_two_point(f, a, b, z, h=h),
+        "fixed_point": check_fixed_point(g, a, fixed, z),
+        "punctured": check_punctured(PuncturedExp(0.3, 2, 0.5), PuncturedPower(1.1, 2),
+                                     ModelPoint.punctured(0.4 + 0.2j),
+                                     ModelPoint.punctured(0.3 - 0.1j)),
+        "qlo": qlo_bound(ModelPoint.upper(1 + 1j), ModelPoint.upper(1j),
+                         Mobius(2.0, 0.0, 0.0, 0.5, Model.UPPER_HALF_PLANE)),
+    }
+
+
+# lhs, rhs, constant, margin and witnesses of each report above
+PINNED = {
+    "two_point": ("1.2620048416691767", "57.009257237757645", "38.636555062026254",
+                  "55.74725239608847", _ABZ),
+    "two_point_sharp": ("1.2620048416691767", "53.524630966303846", "36.274939399395961",
+                        "52.262626124634671", _ABZ),
+    "xjb": ("0.8838074806410734", "65.310592978317473", "38.636555062026254",
+            "64.426785497676406",
+            {**_ABZ, "h": _matrix((0.9637760679209145, 0.3518057274267564),
+                                  (-0.15757464084150724, -0.16673875227744275),
+                                  (-0.15757464084150727, 0.16673875227744275),
+                                  (0.9637760679209145, -0.35180572742675636))}),
+    "fixed_point": ("1.7463414105288844", "7.4044071161461407", "11.342053029180045",
+                    "5.6580657056172559",
+                    {"f": {"variant": "composition", "maps": [
+                        _matrix((_S, 0.0), (-_RE, -_IM), (-_RE, _IM), (_S, 0.0)),
+                        {"variant": "blaschke", "rotation": 0.4,
+                         "zeros": [[0.0, 0.0], [0.5, 0.0]]},
+                        _matrix((_S, 0.0), (_RE, _IM), (_RE, -_IM), (_S, 0.0)),
+                    ]}, "a": _disc(0.3, 0.0), "b": _disc(0.3, 0.2), "z": _disc(0.0, 0.5)}),
+    "punctured": ("0.36983969392734534", "63379.900152141177", "147022.93362990968",
+                  "63379.530312447248",
+                  {"f": {"variant": "punctured_exp", "rotation": 0.3, "power": 2, "decay": 0.5},
+                   "h": {"variant": "punctured_power", "rotation": 1.1, "power": 2},
+                   "a": {"model": "punctured_disc", "re": 0.4, "im": 0.2},
+                   "z": {"model": "punctured_disc", "re": 0.3, "im": -0.1},
+                   "L": 52.77906530006952}),
+    "qlo": ("1.8472460857138375", "3.6293657558241943", "2.6180339887498949",
+            "1.7821196701103568",
+            {"w": {"model": "upper_half_plane", "re": 1.0, "im": 1.0},
+             "c": {"model": "upper_half_plane", "re": 0.0, "im": 1.0},
+             "h": {"variant": "mobius_automorphism", "model": "upper_half_plane",
+                   "matrix": [[2.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.5, 0.0]]},
+             "axis_distance": 0.881373587019543, "identity_lhs": 1.0606601717798212,
+             "identity_rhs": 1.0606601717798212}),
+}
+
+
+def test_report_dicts_are_pinned():
+    # every check serialises its witnesses as it builds its report, to the
+    # dict a report used to derive from its inputs on demand
+    for theorem, report in _pinned_reports().items():
+        lhs, rhs, constant, margin, witnesses = PINNED[theorem]
+        assert report.to_dict() == {"theorem": theorem, "lhs": lhs, "rhs": rhs,
+                                    "constant": constant, "margin": margin,
+                                    "violated": False, "witnesses": witnesses}, theorem

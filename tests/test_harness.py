@@ -65,6 +65,24 @@ class TestConfig:
         with pytest.raises(UsageError):
             CampaignConfig(theorem, family, 10, 1, family_params=params)
 
+    @pytest.mark.parametrize("theorem, family, given, params", [
+        ("two_point", "blaschke", {}, {"max_degree": 5}),
+        ("two_point", "automorphism", {}, {}),
+        ("two_point", "mix", {}, {"max_degree": 5}),
+        ("two_point", "realpart", {}, {}),
+        ("fixed_point", "fixing", {}, {"max_degree": 4}),
+        ("punctured", "exp", {}, {"max_power": 4, "max_decay": 2.0}),
+        ("punctured", "exp", {"max_decay": 1}, {"max_power": 4, "max_decay": 1.0}),
+        ("fixed_point", "fixing", {"max_degree": 7.0}, {"max_degree": 7}),
+    ])
+    def test_family_params_fill_in_the_defaults(self, theorem, family, given, params):
+        # a family's defaults fill in what is not given, as the samplers' types;
+        # the config echoes only what was given
+        cfg = CampaignConfig(theorem, family, 10, 1, family_params=given)
+        assert cfg.params == params
+        assert [type(v) for v in cfg.params.values()] == [type(v) for v in params.values()]
+        assert cfg.to_dict()["family_params"] == given
+
     def test_max_radius_beyond_disc_accuracy_refused(self):
         for theorem, family in (("two_point", "mix"), ("two_point_sharp", "blaschke"),
                                 ("fixed_point", "fixing")):
@@ -172,19 +190,32 @@ class TestCampaigns:
         assert [v.witnesses["index"] for v in report.violations] == [
             i for i in range(cfg.samples) if run_sample(cfg, i).violated]
 
-    def test_clean_campaign_serialises_no_witness(self, monkeypatch):
-        # a clean sample leaves only its margin: no map or point is serialised
-        calls = []
+    def test_clean_campaign_serialises_only_its_reruns(self, monkeypatch):
+        # a report's witnesses are serialised as it is built, and a clean
+        # campaign builds reports only for the samples it re-runs through
+        # the scalar runner: the batch serialises no map or point
+        calls, reruns = [], []
         for cls in (ModelPoint, BlaschkeProduct, Composition, Mobius):
             def counted(self, _to_dict=cls.to_dict):
                 calls.append(type(self).__name__)
                 return _to_dict(self)
             monkeypatch.setattr(cls, "to_dict", counted)
+        runner = harness._RUNNERS["two_point"]
+
+        def recorded(cfg, index, seeds):
+            before = len(calls)
+            report = runner(cfg, index, seeds)
+            reruns.append(calls[before:])
+            return report
+
+        monkeypatch.setitem(harness._RUNNERS, "two_point", recorded)
         cfg = CampaignConfig("two_point", "mix", 500, 21)
         assert run_campaign(cfg).violations == []
-        assert calls == []
-        run_sample(cfg, 0)  # the counters see a full report's witnesses
-        assert "ModelPoint" in calls
+        # the margin_stats ranks at least, a few of 500 samples
+        assert 4 <= len(reruns) <= 25
+        # a, b, z and the map of each re-run sample, and nothing else
+        assert all(r.count("ModelPoint") == 3 and len(r) >= 4 for r in reruns)
+        assert len(calls) == sum(map(len, reruns))
 
     @pytest.mark.parametrize("theorem, family, tolerance, check", [
         ("two_point", "mix", 1e-9, "check_two_point"),
@@ -253,16 +284,23 @@ class TestCampaigns:
 
     def test_failing_sample_is_named(self):
         # at m near 400 the base-point redraws can run out; the campaign
-        # names the first sample that lost it, which fails the same way alone
+        # names the first sample that lost it, and run_sample names it the
+        # same way, with the runner's own error as the cause
         cfg = CampaignConfig("punctured", "exp", 200, 42, family_params={"max_power": 400})
         with pytest.raises(NumericalError) as info:
             run_campaign(cfg)
         cause = "could not sample a base point with a representable image"
         assert str(info.value) == f"sample 120 of seed 42: {cause}"
-        with pytest.raises(NumericalError, match=f"^{cause}$"):
+        with pytest.raises(NumericalError) as info:
             run_sample(cfg, 120)
+        assert str(info.value) == f"sample 120 of seed 42: {cause}"
+        assert type(info.value.__cause__) is NumericalError
+        assert str(info.value.__cause__) == cause
+        cfg = CampaignConfig("two_point", "realpart", 3, 1, min_sep=10.0)
         with pytest.raises(UsageError, match="^sample 0 of seed 1: min_sep is unattainable"):
-            run_campaign(CampaignConfig("two_point", "realpart", 3, 1, min_sep=10.0))
+            run_campaign(cfg)
+        with pytest.raises(UsageError, match="^sample 2 of seed 1: min_sep is unattainable"):
+            run_sample(cfg, 2)
 
     def test_punctured_campaign(self):
         cfg = CampaignConfig("punctured", "exp", 60, 3,

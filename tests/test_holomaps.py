@@ -293,6 +293,15 @@ class TestSampleMap:
             assert got == self.reference_map(family, seed, params).to_dict(), seed
 
     @pytest.mark.parametrize("family, params", [
+        ("blaschke", {}),
+        ("punctured_exp", {"max_power": 4}),
+    ])
+    def test_campaign_params_are_required(self, family, params):
+        # their defaults belong to the campaign families, which pass them in
+        with pytest.raises(KeyError):
+            sample_map(family, 1, params)
+
+    @pytest.mark.parametrize("family, params", [
         ("blaschke", {"max_degree": 0}),
         ("punctured_exp", {"max_power": 0}),
         ("punctured_exp", {"max_decay": -1.0}),

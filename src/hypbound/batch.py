@@ -126,9 +126,19 @@ def _take(a, index):
 
 
 def _dist(u, v, unsure):
-    """``models._dist_disc``, refusing t from 1 up; np.arctanh is not math.atanh to the bit."""
-    t = np.abs(u - v) / np.abs(1.0 - u * v.conj())
-    _flag(unsure, ~(t < 1.0 - SLACK))
+    """``models._dist_disc``; np.arctanh is not math.atanh to the bit."""
+    den = np.abs(1.0 - u * v.conj())
+    t = np.abs(u - v) / den
+    # _dist_disc refuses t >= 1, and the exact t of interior points is below 1: each
+    # engine rounds |u - v| by 2 eps |u - v|, den by 3 eps + 2 eps den and the
+    # quotient by eps, 13 eps / den in all. As _error assumes, the engines place each
+    # point within e/2 of each other, e = _error(u, v): their exact distances differ by
+    # e at most, and 1 - tanh(x + e/2) >= (1 - tanh x) e^-e; in the plane, by
+    # e (1 - |w|^2) / 4, so their den by den e/2. The scalar can refuse only where
+    # this t has 1 - t <= 13 eps (1 + e^e / (1 - e/2)) / den, or where e >= 2.
+    e, eps = _error(u, v), np.finfo(float).eps
+    _flag(unsure, ~(t < 1.0 - 13.0 * eps * (1.0 + np.exp(e) / np.maximum(1.0 - e / 2.0, 0.0))
+                    / den))
     return 2.0 * np.arctanh(t)
 
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import cmath
 import csv
-import json
 import math
 import time
 from dataclasses import dataclass, field
@@ -41,20 +40,21 @@ from .holomaps import (
 )
 from .mobius import build_disc_automorphism
 from .models import TO_UPPER, Model, ModelPoint, _mapply, disc_radius_limit, dist
-from .report import DEFAULT_TOLERANCE, BoundReport, fmt17
+from .report import DEFAULT_TOLERANCE, BoundReport, dumps, fmt17
 
 SCHEMA_VERSION = 1
 
 _TWO_POINT = {"two_point", "two_point_sharp"}
 
-# family -> (the theorems it drives, the family_params it takes and their defaults)
+# family -> (the theorems it drives, the family_params it takes and their defaults,
+# how many child seeds of derive_seeds its runners read: mix alone reads 2 and 3)
 _FAMILIES = {
-    "blaschke": (_TWO_POINT, {"max_degree": 5}),
-    "automorphism": (_TWO_POINT, {}),
-    "mix": (_TWO_POINT, {"max_degree": 5}),
-    "realpart": (_TWO_POINT, {}),
-    "fixing": ({"fixed_point"}, {"max_degree": 4}),
-    "exp": ({"punctured"}, {"max_power": 4, "max_decay": 2.0}),
+    "blaschke": (_TWO_POINT, {"max_degree": 5}, 2),
+    "automorphism": (_TWO_POINT, {}, 2),
+    "mix": (_TWO_POINT, {"max_degree": 5}, 4),
+    "realpart": (_TWO_POINT, {}, 2),
+    "fixing": ({"fixed_point"}, {"max_degree": 4}, 2),
+    "exp": ({"punctured"}, {"max_power": 4, "max_decay": 2.0}, 2),
 }
 
 
@@ -72,7 +72,7 @@ class CampaignConfig:
     def __post_init__(self) -> None:
         if self.theorem not in _RUNNERS:
             raise UsageError(f"unknown theorem {self.theorem!r}")
-        theorems, params = _FAMILIES.get(self.family, (set(), {}))
+        theorems, params, _ = _FAMILIES.get(self.family, (set(), {}, 0))
         if self.theorem not in theorems:
             raise UsageError(
                 f"family {self.family!r} cannot drive theorem {self.theorem!r}")
@@ -128,7 +128,7 @@ class CampaignReport:
         return out
 
     def to_json(self, include_timing: bool = True) -> str:
-        return json.dumps(self.to_dict(include_timing), sort_keys=True, indent=2)
+        return dumps(self.to_dict(include_timing))
 
 
 def derive_seeds(seed: int, index: int) -> list:
@@ -295,6 +295,7 @@ def run_campaign(cfg: CampaignConfig) -> CampaignReport:
     from .batch import run_block
     from .seeding import BLOCK, SampleSeeds, block_states
 
+    streams = _FAMILIES[cfg.family][2]
     margins, errors = np.empty(cfg.samples), np.empty(cfg.samples)
     violations = {}
 
@@ -305,7 +306,7 @@ def run_campaign(cfg: CampaignConfig) -> CampaignReport:
             violations[i] = report
 
     for lo in range(0, cfg.samples, BLOCK):
-        words = block_states(cfg.seed, lo, min(lo + BLOCK, cfg.samples))
+        words = block_states(cfg.seed, lo, min(lo + BLOCK, cfg.samples), streams)
         lhs, rhs, err, unsure = run_block(cfg, words)
         block = slice(lo, lo + len(words))
         margins[block], errors[block] = rhs - lhs, err

@@ -137,14 +137,17 @@ class Mobius(HoloMap):
 
 def apply(m: HoloMap, z: ModelPoint) -> ModelPoint:
     """Apply a self-map to a point of its model (this is also
-    ``holomaps.evaluate``). An image more than 1e-12 outside the model is an
-    IntegrityError."""
+    ``holomaps.evaluate``). An image that ``ModelPoint`` refuses is an
+    IntegrityError when it lies more than 1e-12 outside the model."""
     if z.model is not m.model:
         raise DomainError(f"point model {z.model} differs from map model {m.model}")
     w = m.value_at(z.value)
-    if model_excess(w, m.model) > 1e-12:
-        raise IntegrityError(f"image {w!r} escapes the {m.model.value} model")
-    return ModelPoint(w, m.model)
+    try:
+        return ModelPoint(w, m.model)
+    except ValidationError:
+        if model_excess(w, m.model) > 1e-12:
+            raise IntegrityError(f"image {w!r} escapes the {m.model.value} model") from None
+        raise
 
 
 @dataclass(frozen=True)

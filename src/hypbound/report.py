@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import json
+import math
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _quote
 
 DEFAULT_TOLERANCE = 1e-9
 
@@ -10,6 +13,34 @@ DEFAULT_TOLERANCE = 1e-9
 def fmt17(x: float) -> str:
     """Decimal string with 17 significant digits (round-trips a double)."""
     return format(float(x), ".17g")
+
+
+def dumps(obj) -> str:
+    """``json.dumps(obj, sort_keys=True, indent=2)``, byte for byte. json's
+    indenting encoder is pure Python: strings, ints, finite floats, lists and
+    str-keyed dicts are written here, any other value by json.dumps."""
+    return _dumps(obj, "\n")
+
+
+def _dumps(obj, nl: str) -> str:
+    kind = type(obj)
+    if kind is str:
+        return _quote(obj)
+    if kind is int or kind is float and math.isfinite(obj):
+        return repr(obj)
+    if kind is bool:
+        return "true" if obj else "false"
+    inner = nl + "  "
+    if obj and (kind is list or kind is tuple):
+        return "[" + inner + ("," + inner).join([_dumps(v, inner) for v in obj]) + nl + "]"
+    if obj and kind is dict:
+        try:  # _quote refuses a key that is not a str, and sorted keys of mixed types
+            return "{" + inner + ("," + inner).join(
+                [_quote(k) + ": " + _dumps(v, inner) for k, v in sorted(obj.items())]) + nl + "}"
+        except TypeError:
+            pass
+    # json escapes a newline in a string, so each one left starts a line to indent
+    return json.dumps(obj, sort_keys=True, indent=2).replace("\n", nl)
 
 
 def witnesses(**values) -> dict:

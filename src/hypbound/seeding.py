@@ -26,55 +26,57 @@ def _words(n: int) -> list:
     return words
 
 
-def _seed_sequence(entropy: list, n_words: int) -> list:
+def _hashes(init: int, mult: int, count: int) -> np.ndarray:
+    """SeedSequence's hash constants from ``init`` on, as a column: hash j
+    of a run xors its value with entry j and multiplies it by entry j + 1."""
+    h = [init]
+    for _ in range(count):
+        h.append(h[-1] * mult & _M32)
+    return np.array(h, dtype=np.uint64)[:, None]
+
+
+def _seed_sequence(entropy: list, n_words: int) -> np.ndarray:
     """``SeedSequence(e).generate_state(n_words, np.uint64)`` for every
     entropy e at once: ``entropy`` holds e's uint32 words, lowest first, as
-    uint64 arrays with one entry per e; so does the result."""
-    h = _INIT_A
+    uint64 arrays with one entry per e; row k of the result holds word k.
+    The hash constants do not depend on the data, so the hashes of one pool
+    word into the three others, and all the output words, are taken at once."""
+    extra = entropy[4:]
 
-    def hashmix(value):
-        nonlocal h
-        value = value ^ h
-        h = (h * _MULT_A) & _M32
-        value = (value * h) & _M32
-        return value ^ (value >> 16)
+    def hashmix(values, h):
+        values = ((values ^ h[:-1]) * h[1:]) & _M32
+        return values ^ (values >> 16)
 
     def mix(x, y):
         value = (x * _MIX_L - y * _MIX_R) & _M32
         return value ^ (value >> 16)
 
+    h = _hashes(_INIT_A, _MULT_A, 16 + 4 * len(extra))
     zero = np.zeros_like(entropy[0])
-    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(4)]
+    pool = hashmix(np.stack([entropy[i] if i < len(entropy) else zero for i in range(4)]), h[:5])
     for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[4:]:
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(word))
-    h = _INIT_B
-    out = []
-    for i in range(2 * n_words):
-        value = pool[i % 4] ^ h
-        h = (h * _MULT_B) & _M32
-        value = (value * h) & _M32
-        out.append(value ^ (value >> 16))
-    return [out[2 * k] | (out[2 * k + 1] << 32) for k in range(n_words)]
+        dst = [i for i in range(4) if i != src]
+        pool[dst] = mix(pool[dst], hashmix(pool[src], h[4 + 3 * src:8 + 3 * src]))
+    for k, word in enumerate(extra):
+        pool = mix(pool, hashmix(word, h[16 + 4 * k:21 + 4 * k]))
+    out = hashmix(pool[np.arange(2 * n_words) % 4], _hashes(_INIT_B, _MULT_B, 2 * n_words))
+    return out[0::2] | (out[1::2] << 32)
 
 
-def block_states(seed: int, start: int, stop: int) -> np.ndarray:
+def block_states(seed: int, start: int, stop: int, streams: int) -> np.ndarray:
     """For the samples start <= i < stop of one block, the words
-    ``SeedSequence(derive_seeds(seed, i)[k]).generate_state(4, np.uint64)``,
+    ``SeedSequence(derive_seeds(seed, i)[k]).generate_state(4, np.uint64)``
+    of the first ``streams`` child seeds k, those a campaign's runners read,
     which numpy's PCG64 seeds ``default_rng(derive_seeds(seed, i)[k])`` from:
-    a read-only array of shape (stop - start, 4, 4) indexed [i - start, k].
+    a read-only array of shape (stop - start, streams, 4) indexed [i - start, k].
     A child seed below 2^32 is one SeedSequence word, which mixes as the
     pair (c, 0) does, so every child goes through as two words."""
     n = stop - start
     index = np.arange(start, stop, dtype=np.uint64)
     entropy = [np.full(n, w, dtype=np.uint64) for w in _words(seed)]
     entropy += [(index >> np.uint64(32 * j)) & _M32 for j in range(len(_words(start)))]
-    children = np.concatenate(_seed_sequence(entropy, 4))  # child k of i at k n + i - start
-    words = np.stack(_seed_sequence([children & _M32, children >> 32], 4)).reshape(4, 4, n)
+    children = _seed_sequence(entropy, streams).reshape(-1)  # child k of i at k n + i - start
+    words = _seed_sequence([children & _M32, children >> 32], 4).reshape(4, streams, n)
     words = np.ascontiguousarray(words.transpose(2, 1, 0))
     words.flags.writeable = False
     return words
@@ -95,9 +97,9 @@ class ChildSeed(ISeedSequence):
 
 
 class SampleSeeds:
-    """The four child seeds of one sample, standing in for
+    """The child seeds of one sample that its runner reads, standing in for
     ``derive_seeds(seed, i)``: row i of ``block_states`` makes a ``ChildSeed``
-    only for the streams a runner reads."""
+    only for the streams the runner asks for."""
 
     __slots__ = ("_row",)
 

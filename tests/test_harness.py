@@ -355,14 +355,22 @@ class TestBlockSeeding:
     def test_generators_match_default_rng(self, seed):
         # every index of a block and the first ones of the next
         samples = BLOCK + 3
-        words = np.concatenate([block_states(seed, 0, BLOCK), block_states(seed, BLOCK, samples)])
+        words = np.concatenate([block_states(seed, 0, BLOCK, 4),
+                                block_states(seed, BLOCK, samples, 4)])
         for index, row in enumerate(words):
             for ours, child in zip(row, derive_seeds(seed, index), strict=True):
                 self.assert_same_stream(ChildSeed(ours), child)
         assert index == samples - 1
 
+    @pytest.mark.parametrize("streams", [1, 2, 3])
+    def test_fewer_streams_are_the_first_ones(self, streams):
+        # a campaign hashes only the child seeds its runners read
+        assert block_states(2018, 0, 300, streams).shape == (300, streams, 4)
+        assert np.array_equal(block_states(2018, 0, 300, streams),
+                              block_states(2018, 0, 300, 4)[:, :streams])
+
     def test_child_seed_replays_like_an_int_child(self):
-        ours = ChildSeed(block_states(9, 0, 4)[2, 1])
+        ours = ChildSeed(block_states(9, 0, 4, 4)[2, 1])
         child = derive_seeds(9, 2)[1]
         for seed in (ours, child):
             first = np.random.default_rng(seed).random()
@@ -370,7 +378,7 @@ class TestBlockSeeding:
         self.assert_same_stream(ours, child)
 
     def test_child_seed_answers_only_the_pcg64_request(self):
-        ours = ChildSeed(block_states(3, 0, 1)[0, 0])
+        ours = ChildSeed(block_states(3, 0, 1, 4)[0, 0])
         want = np.random.SeedSequence(derive_seeds(3, 0)[0]).generate_state(4, np.uint64)
         assert np.array_equal(ours.generate_state(4, np.uint64), want)
         for args in ((4,), (4, np.uint32), (2, np.uint64), (8, np.uint64)):
@@ -381,7 +389,7 @@ class TestBlockSeeding:
     def test_indices_past_two_to_the_32(self, seed):
         # two entropy words per index
         start = 2 ** 32
-        for row, words in enumerate(block_states(seed, start, start + 3)):
+        for row, words in enumerate(block_states(seed, start, start + 3, 4)):
             for child_words, child in zip(words, derive_seeds(seed, start + row), strict=True):
                 got = np.random.default_rng(ChildSeed(child_words)).bit_generator.state
                 assert got == np.random.default_rng(child).bit_generator.state

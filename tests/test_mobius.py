@@ -6,6 +6,7 @@ import pytest
 
 from hypbound import (
     DomainError,
+    HoloMap,
     IntegrityError,
     Mobius,
     Model,
@@ -86,6 +87,39 @@ class TestMobiusType:
         far = Mobius(1.0, -1.0, 0.0, 1.0, Model.RIGHT_HALF_PLANE)
         with pytest.raises(IntegrityError):
             apply(far, ModelPoint.right(0.5))
+
+    # the error type and message of each refused image, as at a separate image check
+    @pytest.mark.parametrize("w, model, error, message", [
+        (1.5, Model.DISC, IntegrityError, "image 1.5 escapes the disc model"),
+        (1 + 2e-12, Model.DISC, IntegrityError, "image 1.000000000002 escapes the disc model"),
+        (1 + 5e-13, Model.DISC, ValidationError,
+         "(1.0000000000005+0j) is not interior to the disc model"),
+        (1 - 1e-15, Model.DISC, ValidationError,
+         "(0.999999999999999+0j) is not interior to the disc model"),
+        (-2e-12j, Model.UPPER_HALF_PLANE, IntegrityError,
+         "image (-0-2e-12j) escapes the upper_half_plane model"),
+        (complex(math.nan, 0.0), Model.DISC, ValidationError, "non-finite point (nan+0j)"),
+        (complex(math.inf, 0.0), Model.DISC, IntegrityError,
+         "image (inf+0j) escapes the disc model"),
+        (complex(math.nan, 1.0), Model.UPPER_HALF_PLANE, ValidationError,
+         "non-finite point (nan+1j)"),
+        (complex(1.0, -math.inf), Model.UPPER_HALF_PLANE, IntegrityError,
+         "image (1-infj) escapes the upper_half_plane model"),
+        (complex(math.inf, 1.0), Model.UPPER_HALF_PLANE, ValidationError,
+         "non-finite point (inf+1j)"),
+    ])
+    def test_apply_refusals(self, w, model, error, message):
+        class Constant(HoloMap):
+            def __init__(self):
+                self.model = model
+
+            def value_at(self, z):
+                return w
+
+        z = ModelPoint.disc(0.5) if model is Model.DISC else ModelPoint.upper(1j)
+        with pytest.raises(error) as info:
+            apply(Constant(), z)
+        assert info.type is error and str(info.value) == message
 
     def test_apply_model_mismatch(self):
         m = Mobius.identity(Model.DISC)

@@ -1,5 +1,8 @@
 import cmath
+import copy
 import math
+import pickle
+from dataclasses import FrozenInstanceError
 from decimal import Decimal, localcontext
 
 import pytest
@@ -63,6 +66,71 @@ class TestModelPoint:
     def test_roundtrip_dict(self):
         p = ModelPoint.disc(0.25 - 0.1j)
         assert ModelPoint.from_dict(p.to_dict()) == p
+
+    # the literals below are those of the frozen dataclass ModelPoint used to be
+    @pytest.mark.parametrize("point, text", [
+        (ModelPoint.disc(0.25 - 0.1j), "ModelPoint(value=(0.25-0.1j), model=<Model.DISC: 'disc'>)"),
+        (ModelPoint.upper(2j),
+         "ModelPoint(value=2j, model=<Model.UPPER_HALF_PLANE: 'upper_half_plane'>)"),
+        (ModelPoint.right(1.0),
+         "ModelPoint(value=(1+0j), model=<Model.RIGHT_HALF_PLANE: 'right_half_plane'>)"),
+        (ModelPoint.punctured(-0.5),
+         "ModelPoint(value=(-0.5+0j), model=<Model.PUNCTURED_DISC: 'punctured_disc'>)"),
+    ])
+    def test_repr(self, point, text):
+        assert repr(point) == text
+
+    def test_equality_and_hash(self):
+        p = ModelPoint.disc(0.25 - 0.1j)
+        assert p == ModelPoint(0.25 - 0.1j, Model.DISC) and not p != ModelPoint.disc(0.25 - 0.1j)
+        assert p != ModelPoint.punctured(0.25 - 0.1j) and p != ModelPoint.disc(0.25)
+        assert p != (p.value, p.model) and p != 0.25 - 0.1j
+        assert hash(p) == hash((0.25 - 0.1j, Model.DISC))
+        assert len({p, ModelPoint.disc(0.25 - 0.1j), ModelPoint.punctured(0.25 - 0.1j)}) == 2
+        # the value is converted to complex, as the dataclass did
+        q = ModelPoint("0.5", Model.DISC)
+        assert q == ModelPoint.disc(0.5) and type(q.value) is complex
+        match q:
+            case ModelPoint(value, model):
+                assert (value, model) == (0.5, Model.DISC)
+
+    def test_immutable(self):
+        p = ModelPoint.disc(0.25 - 0.1j)
+        with pytest.raises(FrozenInstanceError, match="cannot assign to field 'value'"):
+            p.value = 0.1
+        with pytest.raises(FrozenInstanceError, match="cannot assign to field 'other'"):
+            p.other = 0.1
+        with pytest.raises(FrozenInstanceError, match="cannot delete field 'model'"):
+            del p.model
+        assert p == ModelPoint.disc(0.25 - 0.1j)
+
+    @pytest.mark.parametrize("p", [ModelPoint.disc(0.25 - 0.1j), ModelPoint.upper(3 + 1e-14j),
+                                   ModelPoint.punctured(-0.5)])
+    def test_copies_and_pickles(self, p):
+        for q in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p)),
+                  ModelPoint.from_dict(p.to_dict())):
+            assert q == p and type(q) is ModelPoint and q.model is p.model
+            assert q.value == p.value and type(q.value) is complex
+
+    @pytest.mark.parametrize("value, model, message", [
+        (complex(math.nan, 0.0), Model.DISC, "non-finite point (nan+0j)"),
+        (complex(0.0, math.inf), Model.UPPER_HALF_PLANE, "non-finite point infj"),
+        (complex(math.inf, 1.0), Model.UPPER_HALF_PLANE, "non-finite point (inf+1j)"),
+        (complex(math.nan, 0.0), "disc", "non-finite point (nan+0j)"),
+        (1 - 1e-14, Model.DISC, "(0.99999999999999+0j) is not interior to the disc model"),
+        (3 + 0.9e-14j, Model.UPPER_HALF_PLANE,
+         "(3+9e-15j) is not interior to the upper_half_plane model"),
+        (0.5, "disc", "unknown model 'disc'"),
+    ])
+    def test_refusals(self, value, model, message):
+        with pytest.raises(ValidationError) as info:
+            ModelPoint(value, model)
+        assert info.type is ValidationError and str(info.value) == message
+
+    def test_margin_is_inclusive(self):
+        # an excess of exactly -BOUNDARY_MARGIN is interior
+        assert ModelPoint.upper(3 + 1e-14j).value.imag == 1e-14
+        assert ModelPoint.right(1e-14 + 2j).value.real == 1e-14
 
 
 class TestDist:

@@ -116,9 +116,18 @@ def parse_family_spec(text: str) -> tuple:
     return name, params
 
 
+@contextmanager
+def _writing(path: str):
+    """Re-raise the OSError of writing ``path`` as a UsageError naming it."""
+    try:
+        yield
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def _emit(text: str, out: Optional[str]) -> None:
     if out:
-        with open(out, "w") as fh:
+        with _writing(out), open(out, "w") as fh:
             fh.write(text)
     else:
         print(text)
@@ -126,7 +135,8 @@ def _emit(text: str, out: Optional[str]) -> None:
 
 def _emit_rows(rows: list, out: Optional[str]) -> int:
     if out:
-        write_rows_csv(rows, out)
+        with _writing(out):
+            write_rows_csv(rows, out)
     else:
         print(json.dumps(rows, indent=2))
     return 0

@@ -11,7 +11,7 @@ from typing import Optional, Tuple
 
 from .errors import DomainError, NumericalError, PreconditionError, ValidationError
 from .holomaps import HoloMap, declared_degree, reference_degree
-from .models import Model, ModelPoint, _dist_upper
+from .models import _PUNCTURED, _UPPER, ModelPoint, _dist_upper
 
 
 def _cover(zeta: complex) -> complex:
@@ -21,9 +21,9 @@ def _cover(zeta: complex) -> complex:
 def cover_pi(zeta: ModelPoint) -> ModelPoint:
     """The covering map zeta -> exp(2 pi i zeta), upper half-plane onto the
     punctured disc; the image modulus is exp(-2 pi Im zeta)."""
-    if zeta.model is not Model.UPPER_HALF_PLANE:
+    if zeta.model is not _UPPER:
         raise ValidationError("covering map takes an upper half-plane point")
-    return ModelPoint(_cover(zeta.value), Model.PUNCTURED_DISC)
+    return ModelPoint(_cover(zeta.value), _PUNCTURED)
 
 
 def _principal_value(z: complex) -> complex:
@@ -33,9 +33,9 @@ def _principal_value(z: complex) -> complex:
 
 def principal_lift(z: ModelPoint) -> ModelPoint:
     """The lift with argument in (-pi, pi]."""
-    if z.model is not Model.PUNCTURED_DISC:
+    if z.model is not _PUNCTURED:
         raise ValidationError("principal_lift takes a punctured-disc point")
-    return ModelPoint(_principal_value(z.value), Model.UPPER_HALF_PLANE)
+    return ModelPoint(_principal_value(z.value), _UPPER)
 
 
 def _nearest_deck(u: complex, v: complex) -> Tuple[float, int]:
@@ -51,7 +51,7 @@ def _nearest_deck(u: complex, v: complex) -> Tuple[float, int]:
 def punctured_dist(z: ModelPoint, a: ModelPoint) -> float:
     """Distance on the punctured disc: the infimum of upper half-plane
     distances between lifts, realized by the nearest deck translate."""
-    if z.model is not Model.PUNCTURED_DISC or a.model is not Model.PUNCTURED_DISC:
+    if z.model is not _PUNCTURED or a.model is not _PUNCTURED:
         raise ValidationError("punctured_dist takes punctured-disc points")
     return _nearest_deck(_principal_value(z.value), _principal_value(a.value))[0]
 
@@ -78,7 +78,7 @@ def degree_contour(f: HoloMap) -> DegreeResult:
     """Degree of a punctured-disc self-map as the winding number of its
     image of the circle of radius 1/2, by trapezoid quadrature of the
     logarithmic derivative (spectrally accurate on the periodic integrand)."""
-    if f.model is not Model.PUNCTURED_DISC:
+    if f.model is not _PUNCTURED:
         raise DomainError("degree is defined for punctured-disc maps")
     if f.contraction_only:
         raise DomainError("map must be holomorphic")
@@ -124,7 +124,7 @@ class LiftedMap:
 def lift_map(f: HoloMap, anchor: ModelPoint, deck_offset: int = 0) -> LiftedMap:
     """Construct the lift of f whose value at the anchor is the principal
     lift of f(pi(anchor)) shifted by ``deck_offset``."""
-    if anchor.model is not Model.UPPER_HALF_PLANE:
+    if anchor.model is not _UPPER:
         raise ValidationError("anchor must be an upper half-plane point")
     degree = declared_degree(f)
     if degree is None or degree < 1:
@@ -136,11 +136,11 @@ def lift_map(f: HoloMap, anchor: ModelPoint, deck_offset: int = 0) -> LiftedMap:
 def lift_map_eval(lifted: LiftedMap, zeta: ModelPoint) -> ModelPoint:
     """Evaluate the lift at a point: the map's closed-form lift, shifted by
     the integer that pins it to ``anchor_value`` at the anchor."""
-    if zeta.model is not Model.UPPER_HALF_PLANE:
+    if zeta.model is not _UPPER:
         raise ValidationError("lift evaluation takes an upper half-plane point")
     f = lifted.base_map
     k = round(lifted.anchor_value.real - f.lift(lifted.anchor.value).real)
-    return ModelPoint(f.lift(zeta.value) + k, Model.UPPER_HALF_PLANE)
+    return ModelPoint(f.lift(zeta.value) + k, _UPPER)
 
 
 def normalized_lift(f: HoloMap, h: HoloMap, anchor: ModelPoint) -> Tuple[LiftedMap, float]:

@@ -10,6 +10,11 @@ its samples a block at a time through ``batch``, which draws what the runners
 draw, and re-runs through a runner each sample the batch cannot decide for
 certain and each that a reported statistic may read: a report's bytes are
 those of the runners.
+
+numpy loads where something is drawn or batched, not on import: in
+``derive_seeds``, in ``holomaps.default_rng`` (the runners, ``sample_map`` and
+the demos) and in ``run_campaign``. Configs, checks, maps and distances never
+load it.
 """
 
 from __future__ import annotations
@@ -22,8 +27,6 @@ from dataclasses import dataclass, field
 from itertools import chain
 from typing import Callable, Optional
 
-import numpy as np
-
 from .bounds import check_fixed_point, check_punctured, check_two_point, constant_two_point
 from .covering import _cover, principal_lift
 from .errors import HypboundError, NumericalError, UsageError, ValidationError
@@ -34,12 +37,13 @@ from .holomaps import (
     HoloMap,
     PuncturedPower,
     RealPartMap,
+    default_rng,
     evaluate,
     sample_map,
     sampler_param,
 )
 from .mobius import build_disc_automorphism
-from .models import TO_UPPER, Model, ModelPoint, _mapply, disc_radius_limit, dist
+from .models import _DISC, TO_UPPER, ModelPoint, _mapply, disc_radius_limit, dist
 from .report import DEFAULT_TOLERANCE, BoundReport, dumps, fmt17
 
 SCHEMA_VERSION = 1
@@ -134,13 +138,16 @@ class CampaignReport:
 def derive_seeds(seed: int, index: int) -> list:
     """Four child seeds for sample ``index``: the documented splitting rule
     is numpy's SeedSequence keyed on the entropy pair (seed, index)."""
+    import numpy as np
+
     state = np.random.SeedSequence((seed, index)).generate_state(4, np.uint64)
     return [int(s) for s in state]
 
 
-def _uniforms(rng: np.random.Generator) -> Callable[..., float]:
-    """``rng.uniform(lo, hi)``, in order and bit for bit, read from blocks of
-    ``rng.random(16)``, which yield what 16 scalar ``rng.random()`` calls would."""
+def _uniforms(rng) -> Callable[..., float]:
+    """``rng.uniform(lo, hi)`` of the numpy Generator ``rng``, in order and bit
+    for bit, read from blocks of ``rng.random(16)``, which yield what 16 scalar
+    ``rng.random()`` calls would."""
     draw = chain.from_iterable(iter(lambda: rng.random(16).tolist(), None)).__next__
     return lambda lo=0.0, hi=1.0: lo + (hi - lo) * draw()
 
@@ -168,7 +175,7 @@ def _draw_disc_map(cfg: CampaignConfig, seeds) -> HoloMap:
     if cfg.family == "realpart":
         return RealPartMap()
     # mix: one of Blaschke, automorphism, or their composition
-    kind = int(np.random.default_rng(seeds[0]).integers(0, 3))
+    kind = int(default_rng(seeds[0]).integers(0, 3))
     if kind == 0:
         return sample_map("blaschke", seeds[2], cfg.params)
     if kind == 1:
@@ -180,7 +187,7 @@ def _draw_disc_map(cfg: CampaignConfig, seeds) -> HoloMap:
 
 
 def _run_two_point(cfg: CampaignConfig, index: int, seeds) -> BoundReport:
-    uniform = _uniforms(np.random.default_rng(seeds[1]))
+    uniform = _uniforms(default_rng(seeds[1]))
     half = cfg.max_radius / 2.0  # pairwise separations stay within max_radius
     f = _draw_disc_map(cfg, seeds)
     if cfg.family == "realpart":
@@ -202,7 +209,7 @@ def _run_two_point(cfg: CampaignConfig, index: int, seeds) -> BoundReport:
 
 
 def _run_fixed_point(cfg: CampaignConfig, index: int, seeds) -> BoundReport:
-    uniform = _uniforms(np.random.default_rng(seeds[1]))
+    uniform = _uniforms(default_rng(seeds[1]))
     half = cfg.max_radius / 2.0
     b = _sample_disc_point(uniform, half)
     a = _separated(lambda: _sample_disc_point(uniform, half), b, cfg.min_sep)
@@ -242,14 +249,14 @@ def _punctured_nearby_point(uniform: Callable[..., float], a: ModelPoint,
     for _ in range(500):
         r = uniform(0.0, radius)
         w = math.tanh(r / 2.0) * cmath.exp(1j * uniform(0.0, math.tau))
-        z = _cover(lift.real + lift.imag * _mapply(TO_UPPER[Model.DISC], w))
+        z = _cover(lift.real + lift.imag * _mapply(TO_UPPER[_DISC], w))
         if 1e-6 < abs(z) < 1.0 - 1e-8 and abs(f.value_at(z)) > 1e-12:
             return ModelPoint.punctured(z)
     raise NumericalError("could not sample a representable nearby point")
 
 
 def _run_punctured(cfg: CampaignConfig, index: int, seeds) -> BoundReport:
-    uniform = _uniforms(np.random.default_rng(seeds[1]))
+    uniform = _uniforms(default_rng(seeds[1]))
     f = sample_map("punctured_exp", seeds[0], cfg.params)
     h = PuncturedPower(uniform(0.0, math.tau), f.power)
     a = _punctured_base_point(uniform, f)
@@ -291,7 +298,9 @@ def run_campaign(cfg: CampaignConfig) -> CampaignReport:
     every lane that may hold one of the ranks ``margin_stats`` reads, so the
     statistics are those of the scalar margins."""
     start = time.perf_counter()
-    # imported here, as they import numpy.random, which numpy loads on first use
+    # numpy loads here, with the batch, so that import hypbound does not load it
+    import numpy as np
+
     from .batch import run_block
     from .seeding import BLOCK, SampleSeeds, block_states
 
@@ -320,12 +329,15 @@ def run_campaign(cfg: CampaignConfig) -> CampaignReport:
                           time.perf_counter() - start)
 
 
-def _rank_lanes(margins: np.ndarray, errors: np.ndarray) -> list:
-    """The inexact lanes (error above 0) that may hold a rank the statistics
-    read: min, max, median and p99. The margin of lane i lies within
-    errors[i] of margins[i], so the margin at rank r lies between the r-th
-    smallest lower and upper ends; a lane whose range misses that interval
-    is on the same side of it exactly as in the batch."""
+def _rank_lanes(margins, errors) -> list:
+    """The inexact lanes (error above 0) of the arrays ``margins`` and
+    ``errors`` that may hold a rank the statistics read: min, max, median and
+    p99. The margin of lane i lies within errors[i] of margins[i], so the
+    margin at rank r lies between the r-th smallest lower and upper ends; a
+    lane whose range misses that interval is on the same side of it exactly
+    as in the batch."""
+    import numpy as np
+
     n = len(margins)
     p99 = math.floor((n - 1) * 0.99)  # np.percentile interpolates from here to the next
     ranks = np.unique(np.minimum([0, (n - 1) // 2, n // 2, p99, p99 + 1, n - 1], n - 1))
@@ -368,7 +380,7 @@ def counterexample_demo(pairs: int = 1000, seed: int = 0) -> CampaignReport:
     f = RealPartMap()
     if pairs < 1:
         raise UsageError("pairs must be >= 1")
-    uniform = _uniforms(np.random.default_rng(derive_seeds(seed, 0)[0]))
+    uniform = _uniforms(default_rng(derive_seeds(seed, 0)[0]))
     failures = 0
     min_margin = math.inf
     for _ in range(pairs):

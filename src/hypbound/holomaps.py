@@ -9,11 +9,9 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-import numpy as np
-
 from .errors import DomainError, PreconditionError, UsageError, ValidationError
 from .mobius import HoloMap, Mobius, apply, build_disc_automorphism
-from .models import Model, ModelPoint
+from .models import _DISC, _PUNCTURED, Model, ModelPoint
 
 
 evaluate = apply  # a self-map is evaluated with one image check
@@ -36,7 +34,7 @@ class Identity(HoloMap):
 
     @property
     def self_covering(self) -> bool:
-        return self.model is Model.PUNCTURED_DISC
+        return self.model is _PUNCTURED
 
     def declared_degree(self) -> Optional[int]:
         return 1 if self.self_covering else None
@@ -284,7 +282,7 @@ def schwarz_quotient(f: HoloMap) -> HoloMap:
     Requires a holomorphic self-map of the disc fixing 0; the result maps the
     disc into its closure.
     """
-    if f.model is not Model.DISC:
+    if f.model is not _DISC:
         raise PreconditionError("quotient is defined for disc self-maps")
     if f.contraction_only:
         raise PreconditionError("map must be holomorphic")
@@ -338,9 +336,17 @@ def sampler_param(params: dict, key: str):
     return value
 
 
+def default_rng(seed):
+    """``numpy.random.default_rng(seed)``. numpy is imported here, where a
+    sample is drawn, so that ``import hypbound`` does not load it."""
+    import numpy as np
+
+    return np.random.default_rng(seed)
+
+
 def sample_map(family: str, seed, params: Optional[dict] = None) -> HoloMap:
     """Draw one map from a named family, deterministically in the seed.
-    ``seed`` is any ``np.random.default_rng`` seed.
+    ``seed`` is any ``default_rng`` seed.
 
     Families and their parameters, all required but eps: ``blaschke`` (max_degree),
     ``disc_automorphism``, ``punctured_exp`` (max_power, max_decay), ``near_identity`` (eps).
@@ -348,7 +354,7 @@ def sample_map(family: str, seed, params: Optional[dict] = None) -> HoloMap:
     0.95 to keep samples away from boundary degeneracy.
     """
     params = {key: sampler_param(params, key) for key in params or {}}
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     # each family draws its integers first, then all its uniforms in one call
     if family == "blaschke":
         degree = int(rng.integers(1, params["max_degree"] + 1))

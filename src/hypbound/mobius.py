@@ -9,7 +9,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import DomainError, IntegrityError, NumericalError, ValidationError
-from .models import TO_UPPER, Model, ModelPoint, _adjugate, _mapply, convert, dist, model_excess
+from .models import (_DISC, _PUNCTURED, _RIGHT, _UPPER, TO_UPPER, Model, ModelPoint, _adjugate,
+                     _mapply, convert, dist, model_excess)
 
 # Boundary fixed point at infinity (never wrapped in a ModelPoint).
 INF = complex(math.inf, 0.0)
@@ -219,11 +220,11 @@ def is_isometry(m: Mobius) -> bool:
     """
     a, b, c, d = m.entries
     tol = 1e-9
-    if m.model is Model.DISC:
+    if m.model is _DISC:
         return abs(a - d.conjugate()) <= tol and abs(b - c.conjugate()) <= tol
-    if m.model is Model.UPPER_HALF_PLANE:
+    if m.model is _UPPER:
         return max(abs(a.imag), abs(b.imag), abs(c.imag), abs(d.imag)) <= tol
-    if m.model is Model.RIGHT_HALF_PLANE:
+    if m.model is _RIGHT:
         return max(abs(a.imag), abs(d.imag), abs(b.real), abs(c.real)) <= tol
     return False
 
@@ -231,10 +232,10 @@ def is_isometry(m: Mobius) -> bool:
 def build_disc_automorphism(a: ModelPoint, theta: float) -> Mobius:
     """The disc automorphism w -> e^{i theta} (w - a)/(1 - conj(a) w),
     sending a to 0. Every such map is a hyperbolic isometry of the disc."""
-    if a.model is not Model.DISC:
+    if a.model is not _DISC:
         raise ValidationError("center must be a disc point")
     rot = cmath.exp(1j * theta)
-    return Mobius(rot, -rot * a.value, -a.value.conjugate(), 1.0, Model.DISC)
+    return Mobius(rot, -rot * a.value, -a.value.conjugate(), 1.0, _DISC)
 
 
 def _axis_matrix(e1: complex, e2: complex) -> tuple:
@@ -283,7 +284,7 @@ def hyperbolic_pull(p: ModelPoint, q: ModelPoint) -> Mobius:
         raise DomainError(f"model mismatch: {p.model} vs {q.model}")
     if p.value == q.value:
         return Mobius.identity(p.model)
-    if p.model is Model.PUNCTURED_DISC:
+    if p.model is _PUNCTURED:
         raise DomainError("no Moebius isometries act on the punctured disc")
     length = dist(p, q)
     hub = TO_UPPER[p.model]
@@ -304,7 +305,7 @@ def _axis_to_upper(axis: tuple, model: Model) -> tuple:
     out = []
     for e in axis:
         # the disc's boundary point 1 is the pole of the Cayley map
-        if is_infinite(e) or (model is Model.DISC and abs(1.0 - e) < 1e-12):
+        if is_infinite(e) or (model is _DISC and abs(1.0 - e) < 1e-12):
             out.append(INF)
         else:
             out.append(_mapply(TO_UPPER[model], e))
@@ -314,7 +315,7 @@ def _axis_to_upper(axis: tuple, model: Model) -> tuple:
 def dist_to_axis(w: ModelPoint, axis: tuple, model: Model) -> float:
     """Hyperbolic distance from a point to the geodesic with the given
     boundary endpoints (endpoints in model coordinates, INF allowed)."""
-    wu = convert(w, Model.UPPER_HALF_PLANE).value
+    wu = convert(w, _UPPER).value
     z = _mapply(_axis_matrix(*_axis_to_upper(axis, model)), wu)
     return math.asinh(abs(z.real) / z.imag)
 

@@ -14,8 +14,6 @@ from dataclasses import FrozenInstanceError, dataclass
 from enum import Enum
 from typing import Callable
 
-import numpy as np
-
 from .errors import DomainError, NumericalError, UnsupportedError, ValidationError
 
 # Points closer than this to a model boundary are rejected: distances to
@@ -173,7 +171,7 @@ def dist(u: ModelPoint, v: ModelPoint) -> float:
 def half_sinh_cosh(u: ModelPoint, v: ModelPoint) -> HalfDistancePair:
     """sinh and cosh of half the distance between disc points, by the
     quotient formulas |u-v| and |1-u*conj(v)| over sqrt((1-|u|^2)(1-|v|^2))."""
-    if u.model is not Model.DISC or v.model is not Model.DISC:
+    if u.model is not _DISC or v.model is not _DISC:
         raise ValidationError("half_sinh_cosh is defined for disc points only")
     den = math.sqrt((1.0 - abs(u.value) ** 2) * (1.0 - abs(v.value) ** 2))
     s = abs(u.value - v.value) / den
@@ -183,7 +181,7 @@ def half_sinh_cosh(u: ModelPoint, v: ModelPoint) -> HalfDistancePair:
 
 def density_punctured(z: ModelPoint) -> float:
     """Riemannian density -1/(|z| log|z|) of the punctured disc; always >= e."""
-    if z.model is not Model.PUNCTURED_DISC:
+    if z.model is not _PUNCTURED:
         raise ValidationError("density_punctured needs a punctured-disc point")
     r = abs(z.value)
     return -1.0 / (r * math.log(r))
@@ -216,15 +214,17 @@ def convert(p: ModelPoint, target: Model) -> ModelPoint:
     disc <-> upper half-plane, rotation by i for the right half-plane)."""
     if p.model is target:
         return p
-    if target is Model.PUNCTURED_DISC or p.model is Model.PUNCTURED_DISC:
+    if target is _PUNCTURED or p.model is _PUNCTURED:
         raise UnsupportedError("no global isometry involves the punctured disc")
     return ModelPoint(_mapply(_adjugate(TO_UPPER[target]), _mapply(TO_UPPER[p.model], p.value)),
                       target)
 
 
-def _simpson(f: Callable[[np.ndarray], np.ndarray], a: float, b: float) -> float:
-    """Composite Simpson with panel doubling until two estimates agree to
-    1e-9, up to 2**20 panels."""
+def _simpson(f: Callable, a: float, b: float) -> float:
+    """Composite Simpson for ``f`` of a numpy array of nodes, with panel
+    doubling until two estimates agree to 1e-9, up to 2**20 panels."""
+    import numpy as np  # the oracle alone of this module uses numpy
+
     n = 8
     prev = None
     while n <= 2 ** 20:
@@ -245,22 +245,24 @@ def _oracle_disc(u: complex, v: complex) -> float:
     xi = (v - u) / (1.0 - u.conjugate() * v)
     scale = 1.0 - abs(u) ** 2
 
-    def integrand(t: np.ndarray) -> np.ndarray:
+    def integrand(t):
         s = t * xi
         den = 1.0 + u.conjugate() * s
         g = (s + u) / den
         dg = xi * scale / (den * den)
-        return 2.0 * np.abs(dg) / (1.0 - np.abs(g) ** 2)
+        return 2.0 * abs(dg) / (1.0 - abs(g) ** 2)
 
     return _simpson(integrand, 0.0, 1.0)
 
 
 def _oracle_upper(u: complex, v: complex) -> float:
+    import numpy as np
+
     if abs(u.real - v.real) <= 1e-12 * max(1.0, abs(u), abs(v)):
         # vertical geodesic: straight segment, density 1/Im
         step = v - u
 
-        def integrand(t: np.ndarray) -> np.ndarray:
+        def integrand(t):
             return abs(step) / (u + t * step).imag
 
         return _simpson(integrand, 0.0, 1.0)
@@ -270,17 +272,19 @@ def _oracle_upper(u: complex, v: complex) -> float:
     th_u = math.atan2(u.imag, u.real - x0)
     th_v = math.atan2(v.imag, v.real - x0)
 
-    def integrand(t: np.ndarray) -> np.ndarray:
+    def integrand(t):
         return 1.0 / np.sin(t)
 
     return abs(_simpson(integrand, th_u, th_v))
 
 
 def _oracle_right(u: complex, v: complex) -> float:
+    import numpy as np
+
     if abs(u.imag - v.imag) <= 1e-12 * max(1.0, abs(u), abs(v)):
         step = v - u
 
-        def integrand(t: np.ndarray) -> np.ndarray:
+        def integrand(t):
             return abs(step) / (u + t * step).real
 
         return _simpson(integrand, 0.0, 1.0)
@@ -289,7 +293,7 @@ def _oracle_right(u: complex, v: complex) -> float:
     ph_u = math.atan2(u.imag - y0, u.real)
     ph_v = math.atan2(v.imag - y0, v.real)
 
-    def integrand(t: np.ndarray) -> np.ndarray:
+    def integrand(t):
         return 1.0 / np.cos(t)
 
     return abs(_simpson(integrand, ph_u, ph_v))
@@ -300,12 +304,12 @@ def dist_oracle(u: ModelPoint, v: ModelPoint) -> float:
     geodesic; an independent check of :func:`dist` (punctured disc excluded)."""
     if u.model is not v.model:
         raise DomainError(f"model mismatch: {u.model} vs {v.model}")
-    if u.model is Model.PUNCTURED_DISC:
+    if u.model is _PUNCTURED:
         raise DomainError("no quadrature oracle for the punctured disc")
     if u.value == v.value:
         return 0.0
-    if u.model is Model.DISC:
+    if u.model is _DISC:
         return _oracle_disc(u.value, v.value)
-    if u.model is Model.UPPER_HALF_PLANE:
+    if u.model is _UPPER:
         return _oracle_upper(u.value, v.value)
     return _oracle_right(u.value, v.value)

@@ -35,12 +35,16 @@ from conftest import replayed_campaign
 LN2 = math.log(2.0)
 
 
-def run_cli(*args, timeout=None):
+def run_python(*args, timeout=None):
     # the child imports hypbound from where this process found it
     path = [str(Path(hypbound.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
-    return subprocess.run([sys.executable, "-m", "hypbound", *args],
+    return subprocess.run([sys.executable, *args],
                           capture_output=True, text=True, timeout=timeout, env=env)
+
+
+def run_cli(*args, timeout=None):
+    return run_python("-m", "hypbound", *args, timeout=timeout)
 
 
 class TestConfig:
@@ -128,18 +132,66 @@ class TestConfig:
                                         ("punctured", "exp", {"max_power": 1, "max_decay": 0.0})):
             run_campaign(CampaignConfig(theorem, family, 5, 1, family_params=params))
 
-    def test_import_loads_no_numpy_random(self):
-        # numpy loads numpy.random on first use; a campaign loads it when it
-        # runs, so importing hypbound and building a config stay cheap
-        code = ("import sys, hypbound\n"
-                "hypbound.CampaignConfig('two_point', 'mix', 10, 1)\n"
-                "print(sorted(m for m in sys.modules if m.startswith('numpy.random')))")
-        path = [str(Path(hypbound.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                             timeout=60, env=env)
+
+# Start-up: numpy loads where a sample is drawn or a batch runs, and nowhere
+# else. The children are fresh interpreters, as this one has numpy loaded.
+_SCALAR_PATHS = """
+import json, sys
+from hypbound import *
+
+for theorem, family in (("two_point", "blaschke"), ("two_point_sharp", "automorphism"),
+                        ("two_point", "mix"), ("two_point", "realpart"),
+                        ("fixed_point", "fixing"), ("punctured", "exp")):
+    cfg = CampaignConfig(theorem, family, 40, 7)
+disc = ModelPoint.disc
+check_two_point(BlaschkeProduct(0.3, (0.2 + 0.1j, -0.4)), disc(0.1), disc(-0.4j), disc(0.5))
+sigma = build_disc_automorphism(disc(0.3j), 0.0)
+fixing = Composition((sigma, BlaschkeProduct(0.5, (0.0, 0.3)), sigma.inverse()))
+check_fixed_point(fixing, disc(-0.5), disc(0.3j), disc(0.2 + 0.2j))
+check_punctured(PuncturedExp(0.2, 2, 0.5), PuncturedPower(0.0, 2),
+                ModelPoint.punctured(0.5), ModelPoint.punctured(0.3 + 0.2j))
+for model, u, v in ((Model.DISC, 0.0, 0.5), (Model.UPPER_HALF_PLANE, 1j, 2 + 1j),
+                    (Model.RIGHT_HALF_PLANE, 1.0, 2 + 1j), (Model.PUNCTURED_DISC, 0.5, 0.1j)):
+    dist(ModelPoint(u, model), ModelPoint(v, model))
+before = "numpy" in sys.modules
+sample = run_sample(cfg, 3).to_dict()
+after_sample = "numpy" in sys.modules
+report = run_campaign(cfg).to_dict(include_timing=False)
+print(json.dumps([before, after_sample, sample, report]))
+"""
+
+
+@pytest.fixture(scope="module")
+def numpy_free_start():
+    out = run_python("-c", "import sys; print('numpy' in sys.modules)", timeout=60)
+    if out.stdout.strip() == "True":
+        pytest.skip("this interpreter loads numpy before it runs any code")
+
+
+@pytest.mark.usefixtures("numpy_free_start")
+class TestStartup:
+    def test_scalar_paths_load_no_numpy(self):
+        out = run_python("-c", _SCALAR_PATHS, timeout=60)
         assert out.returncode == 0, out.stderr
-        assert out.stdout.strip() == "[]"
+        before, after_sample, sample, report = json.loads(out.stdout)
+        assert (before, after_sample) == (False, True)
+        cfg = CampaignConfig("punctured", "exp", 40, 7)
+        assert sample == run_sample(cfg, 3).to_dict()
+        assert report == run_campaign(cfg).to_dict(include_timing=False)
+
+    @pytest.mark.parametrize("argv, rc", [
+        (["dist", "disc", "0", "0.5"], 0),
+        (["degree", "power:m=3"], 0),
+        (["halfplane", "--n", "10"], 0),
+        (["verify", "--theorem", "two_point", "--family", "mix:deg=x"], 2),
+    ], ids=["dist", "degree", "halfplane", "malformed-verify"])
+    def test_cli_imports_no_numpy(self, argv, rc):
+        out = run_python("-X", "importtime", "-m", "hypbound", *argv, timeout=60)
+        assert out.returncode == rc, out.stderr
+        imported = [line.rpartition("|")[2].strip() for line in out.stderr.splitlines()
+                    if line.startswith("import time:")]
+        assert "hypbound.cli" in imported
+        assert [m for m in imported if m.partition(".")[0] == "numpy"] == []
 
 
 class TestCampaigns:
@@ -617,6 +669,21 @@ class TestCli:
             got = capsys.readouterr()
             assert (got.out, got.err) == ("", line)
         assert not path.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--theorem", "two_point", "--family", "mix", "--samples", "10"],
+        ["counterexample", "--pairs", "10"],
+        ["halfplane", "--n", "10"],
+        ["convergence", "--z", "0.5i", "--rows", "2"],
+    ], ids=["verify", "counterexample", "halfplane", "convergence"])
+    def test_unwritable_out_is_usage_error(self, argv, tmp_path, capsys):
+        path = tmp_path / "missing" / "out"
+        assert main(argv + ["--out", str(path)]) == 2
+        got = capsys.readouterr()
+        assert got.out == ""
+        assert got.err == f"error: cannot write {path}: No such file or directory\n"
+        assert main(argv + ["--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"error: cannot write {tmp_path}: Is a directory\n"
 
     def test_halfplane_csv(self, tmp_path):
         path = tmp_path / "hp.csv"

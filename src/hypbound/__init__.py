@@ -44,7 +44,6 @@ from .holomaps import (
     Composition,
     HalfPlaneTranslate,
     HoloMap,
-    Identity,
     PuncturedExp,
     PuncturedPower,
     RealPartMap,
@@ -52,7 +51,6 @@ from .holomaps import (
     evaluate,
     map_from_dict,
     sample_map,
-    schwarz_quotient,
 )
 from .mobius import (
     INF,

@@ -4,9 +4,9 @@ over arrays of lanes, one lane per sample, on a numpy port of PCG64.
 Each lane draws what its scalar runner draws, bit for bit, from the words
 ``seeding.block_states`` gives it. A runner returns each lane's lhs and rhs
 and marks the lanes it cannot decide for certain: those past the draws it
-made (``TRIES`` attempts of a rejection loop, a Lemire rejection, a degree
-above ``MAX_PAD`` or a power above 100) or near the threshold of a test or
-a refusal. ``harness.run_campaign`` re-runs those through the scalar runner.
+made (``TRIES`` attempts of a rejection loop, a Lemire rejection or a
+degree above ``MAX_PAD``) or near the threshold of a test or a refusal.
+``harness.run_campaign`` re-runs those through the scalar runner.
 """
 
 from __future__ import annotations
@@ -152,17 +152,11 @@ def _disc_point(u):
     return 0.95 * np.sqrt(u[:, 0::2]) * np.exp(1j * (math.tau * u[:, 1::2]))
 
 
-def _mobius(a, b, c, d):
-    # the entries of Mobius(a, b, c, d), normalised to determinant 1
-    s = np.sqrt(a * d - b * c)
-    return a / s, b / s, c / s, d / s
-
-
 def _automorphism(words):
     """``sample_map("disc_automorphism", ...)``, by ``build_disc_automorphism``."""
     u = doubles(outputs(words, 3))
     center, rot = _disc_point(u[:, :2]), np.exp(1j * (math.tau * u[:, 2:]))
-    return _mobius(rot, -rot * center, -center.conj(), 1.0)
+    return rot, -rot * center, -center.conj(), 1.0
 
 
 def _blaschke(words, max_degree: int, unsure):
@@ -261,10 +255,10 @@ def _fixed_point(cfg, words, unsure):
     rotation, zeros, mask = _blaschke(words[:, 0], deg, unsure)
     fixing_zero = (rotation, np.concatenate([np.zeros_like(zeros[:, :1]), zeros], axis=1),
                    np.concatenate([np.ones_like(mask[:, :1]), mask], axis=1))
-    sigma = _mobius(1.0, -b, -b.conj(), 1.0)  # build_disc_automorphism(b, 0.0)
+    sigma = (1.0, -b, -b.conj(), 1.0)  # build_disc_automorphism(b, 0.0)
     _flag(unsure, ~(np.abs(1.0 - b * b.conj()) > 1e-12 * (1.0 + SLACK)))  # Mobius's refusal
     points = np.concatenate([a, b, z], axis=1)
-    images = _mapply(_mobius(*_adjugate(sigma)),
+    images = _mapply(_adjugate(sigma),
                      _apply_blaschke(fixing_zero, _mapply(sigma, points)))
     # d(a, b), d(f(b), b), d(a, z), d(z, b), then d(f(z), z), d(f(a), a)
     dab, drift, daz, dzb, lhs, dfa = _distances(unsure, points, images, [0, 4, 0, 2, 5, 3],
@@ -277,15 +271,6 @@ def _fixed_point(cfg, words, unsure):
     _flag(unsure, ~(drift < 1e-10 * (1.0 - SLACK) - noise))
     constant = np.exp(daz + dzb) / (4.0 * np.sinh(0.5 * dab))
     return lhs, constant * dfa, constant, (points, images)
-
-
-def _power(w, power):
-    # Python's complex ** int up to 100: CPython's squarings
-    value, square, bit = np.ones_like(w), w, 1
-    while bit <= min(power.max(), 100):
-        value = np.where(power[:, None] & bit, value * square, value)
-        square, bit = square * square, bit << 1
-    return value
 
 
 def _principal(w):
@@ -306,13 +291,12 @@ def _punctured(cfg, words, unsure):
     max_power = cfg.params["max_power"]
     power, out = _draw_integer(outputs(words[:, 0], (max_power > 1) + 2), 1, max_power + 1,
                                unsure)
-    unsure |= power > 100  # Python raises those to their power in polar form
     u = doubles(out)
     spin = np.exp(1j * (math.tau * u[:, :1]))
     decay = cfg.params["max_decay"] * u[:, 1:]
 
     def f(w):
-        return spin * _power(w, power) * np.exp(decay * (w - 1.0))
+        return spin * w ** power[:, None] * np.exp(decay * (w - 1.0))
 
     # h's rotation, then a's attempts two doubles each, then z's two each
     u = doubles(outputs(words[:, 1], 1 + 4 * TRIES))
@@ -334,7 +318,7 @@ def _punctured(cfg, words, unsure):
     z = _take(tries, _first(passed, near, unsure))
     points = np.concatenate([a, z], axis=1)
     fa, fz = f(points).T[:, :, None]
-    ha, hz = (np.exp(1j * (math.tau * u[:, :1])) * _power(points, power)).T[:, :, None]
+    ha, hz = (np.exp(1j * (math.tau * u[:, :1])) * points ** power[:, None]).T[:, :, None]
     images = np.concatenate([fa, fz, ha, hz], axis=1)
     _flag(unsure, _refused(images, punctured=True))
     # d*(z, a), d*(f(z), h(z)), d*(f(a), h(a))
@@ -353,7 +337,7 @@ def run_block(cfg, words: np.ndarray) -> tuple:
     """The samples whose seed words ``words`` holds, as ``block_states``
     gives them, as one batch: each lane's lhs and rhs, a bound on the error
     of its margin rhs - lhs, and the lanes the batch cannot decide for
-    certain, whose other entries may be anything."""
+    certain, whose lhs, rhs and error are NaN."""
     unsure = np.zeros(len(words), dtype=bool)
     if cfg.family == "realpart":  # rhs = 0, lhs > 0.2: all go to the scalar runner
         return (np.full(len(words), np.nan),) * 3 + (~unsure,)
@@ -363,4 +347,5 @@ def run_block(cfg, words: np.ndarray) -> tuple:
         scale = np.maximum(np.maximum(1.0, constant), np.maximum(np.abs(lhs), np.abs(rhs)))
         err = np.maximum(SLACK, _error(*(np.abs(x).max(axis=1) for x in seen))) * scale
         unsure |= ~(np.isfinite(lhs) & np.isfinite(rhs) & np.isfinite(err))
+        lhs, rhs, err = (np.where(unsure, np.nan, x) for x in (lhs, rhs, err))
     return lhs, rhs, err, unsure

@@ -19,7 +19,7 @@ from .harness import (
     run_campaign,
     write_rows_csv,
 )
-from .holomaps import Composition, Identity, PuncturedExp, PuncturedPower, map_from_dict
+from .holomaps import Composition, PuncturedExp, PuncturedPower, map_from_dict
 from .models import Model, ModelPoint, dist
 
 _MODEL_TOKENS = {
@@ -91,7 +91,7 @@ def parse_map_spec(text: str):
                 parts.append(PuncturedExp(float(kv.get("theta", 0.0)),
                                           int(kv["m"]), float(kv.get("c", 0.0))))
             elif name == "identity":
-                parts.append(Identity(Model.PUNCTURED_DISC))
+                parts.append(PuncturedPower(0.0, 1))
             else:
                 raise UsageError(f"unknown map shorthand {chunk!r}")
         return parts[0] if len(parts) == 1 else Composition(tuple(parts))
@@ -162,6 +162,8 @@ def _cmd_verify(args) -> int:
         theorem=args.theorem, family=family, family_params=params,
         samples=args.samples, seed=args.seed, min_sep=args.min_sep,
         max_radius=args.max_radius, tolerance=args.tolerance)
+    if args.out:  # truncated now, as a shell redirect would: an unwritable path ends here
+        _emit("", args.out)
     report = run_campaign(cfg)
     _emit(report.to_json(), args.out)
     n_viol = len(report.violations)

@@ -11,7 +11,7 @@ from typing import Optional
 
 from .errors import DomainError, PreconditionError, UsageError, ValidationError
 from .mobius import HoloMap, Mobius, apply, build_disc_automorphism
-from .models import _DISC, _PUNCTURED, Model, ModelPoint
+from .models import _PUNCTURED, Model, ModelPoint
 
 
 evaluate = apply  # a self-map is evaluated with one image check
@@ -20,30 +20,6 @@ evaluate = apply  # a self-map is evaluated with one image check
 def _finite_rotation(rotation: float) -> None:
     if not math.isfinite(rotation):
         raise ValidationError(f"rotation must be finite, not {rotation!r}")
-
-
-@dataclass(frozen=True)
-class Identity(HoloMap):
-    model: Model = Model.DISC
-
-    def value_at(self, z: complex) -> complex:
-        return z
-
-    def _derivative(self, z: complex) -> complex:
-        return 1.0
-
-    @property
-    def self_covering(self) -> bool:
-        return self.model is _PUNCTURED
-
-    def declared_degree(self) -> Optional[int]:
-        return 1 if self.self_covering else None
-
-    def lift(self, zeta: complex) -> complex:
-        return zeta
-
-    def to_dict(self) -> dict:
-        return {"variant": "identity", "model": self.model.value}
 
 
 @dataclass(frozen=True)
@@ -109,40 +85,6 @@ class HalfPlaneTranslate(HoloMap):
 
 
 @dataclass(frozen=True)
-class PuncturedPower(HoloMap):
-    """z -> e^{i rotation} z^power, a self-covering of the punctured disc."""
-
-    rotation: float
-    power: int
-    model: Model = field(default=Model.PUNCTURED_DISC, init=False)
-    self_covering = True
-
-    def __post_init__(self) -> None:
-        _finite_rotation(self.rotation)
-        if self.power < 1:
-            raise ValidationError("power must be a positive integer")
-
-    def value_at(self, z: complex) -> complex:
-        return cmath.exp(1j * self.rotation) * z ** self.power
-
-    def _derivative(self, z: complex) -> complex:
-        return cmath.exp(1j * self.rotation) * self.power * z ** (self.power - 1)
-
-    def log_derivative(self, z: complex) -> complex:
-        return self.power / z
-
-    def declared_degree(self) -> Optional[int]:
-        return self.power
-
-    def lift(self, zeta: complex) -> complex:
-        # e^{i t} z^m lifts to m*zeta + t/(2 pi)
-        return self.power * zeta + self.rotation / math.tau
-
-    def to_dict(self) -> dict:
-        return {"variant": "punctured_power", "rotation": self.rotation, "power": self.power}
-
-
-@dataclass(frozen=True)
 class PuncturedExp(HoloMap):
     """z -> e^{i rotation} z^power e^{decay (z - 1)} with finite real decay >= 0.
 
@@ -184,6 +126,22 @@ class PuncturedExp(HoloMap):
     def to_dict(self) -> dict:
         return {"variant": "punctured_exp", "rotation": self.rotation,
                 "power": self.power, "decay": self.decay}
+
+
+@dataclass(frozen=True)
+class PuncturedPower(PuncturedExp):
+    """z -> e^{i rotation} z^power, ``PuncturedExp`` without decay: a
+    self-covering of the punctured disc, and its identity at (0.0, 1)."""
+
+    decay: float = field(default=0.0, init=False)
+    self_covering = True
+
+    def _derivative(self, z: complex) -> complex:
+        # not the inherited f (m/z + c): that rounds differently, and degree residuals read it
+        return cmath.exp(1j * self.rotation) * self.power * z ** (self.power - 1)
+
+    def to_dict(self) -> dict:
+        return {"variant": "punctured_power", "rotation": self.rotation, "power": self.power}
 
 
 @dataclass(frozen=True)
@@ -254,41 +212,6 @@ class RealPartMap(HoloMap):
 
     def to_dict(self) -> dict:
         return {"variant": "real_part"}
-
-
-@dataclass(frozen=True)
-class SchwarzQuotient(HoloMap):
-    """g(w) = base(w)/w with the removable singularity filled by base'(0).
-
-    The image lies in the closed disc (|g| <= 1), so g is consumed through
-    ``value_at`` rather than as a strict self-map.
-    """
-
-    base: HoloMap
-    model: Model = field(default=Model.DISC, init=False)
-
-    def value_at(self, z: complex) -> complex:
-        if abs(z) < 1e-12:
-            return self.base._derivative(0.0 + 0.0j)
-        return self.base.value_at(z) / z
-
-    def to_dict(self) -> dict:
-        return {"variant": "schwarz_quotient", "base": self.base.to_dict()}
-
-
-def schwarz_quotient(f: HoloMap) -> HoloMap:
-    """Divide out the fixed point at the origin: g(w) = f(w)/w, g(0) = f'(0).
-
-    Requires a holomorphic self-map of the disc fixing 0; the result maps the
-    disc into its closure.
-    """
-    if f.model is not _DISC:
-        raise PreconditionError("quotient is defined for disc self-maps")
-    if f.contraction_only:
-        raise PreconditionError("map must be holomorphic")
-    if abs(f.value_at(0.0 + 0.0j)) > 1e-12:
-        raise PreconditionError("map must fix the origin")
-    return SchwarzQuotient(f)
 
 
 def declared_degree(f: HoloMap) -> Optional[int]:
@@ -381,8 +304,9 @@ def sample_map(family: str, seed, params: Optional[dict] = None) -> HoloMap:
 def map_from_dict(d: dict) -> HoloMap:
     """Rebuild a map from its JSON form (inverse of ``to_dict``)."""
     variant = d.get("variant")
-    if variant == "identity":
-        return Identity(Model(d["model"]))
+    if variant == "identity":  # z -> z, as the map that stands for it on its model
+        model = Model(d["model"])
+        return PuncturedPower(0.0, 1) if model is _PUNCTURED else Mobius.identity(model)
     if variant == "mobius_automorphism":
         return Mobius.from_dict(d)
     if variant == "blaschke":
@@ -398,6 +322,4 @@ def map_from_dict(d: dict) -> HoloMap:
         return Composition(tuple(map_from_dict(g) for g in d["maps"]))
     if variant == "real_part":
         return RealPartMap()
-    if variant == "schwarz_quotient":
-        return SchwarzQuotient(map_from_dict(d["base"]))
     raise UsageError(f"unknown map variant {variant!r}")

@@ -92,7 +92,7 @@ class TestPort:
         assert margins[3] == want.margin
 
 
-# every family, and deg-16 Blaschke, over a block edge
+# every family, deg-16 Blaschke and powers up to 150, over a block edge
 FAMILIES = [
     ("two_point", "blaschke", {}),
     ("two_point_sharp", "blaschke", {"max_degree": 16}),
@@ -101,7 +101,10 @@ FAMILIES = [
     ("two_point", "realpart", {}),
     ("fixed_point", "fixing", {}),
     ("punctured", "exp", {}),
+    ("punctured", "exp", {"max_power": 150}),
 ]
+_SHORT = {"max_degree": "deg", "max_power": "m"}
+IDS = [f"{t}-{f}" + "".join(f"-{_SHORT[k]}{v}" for k, v in p.items()) for t, f, p in FAMILIES]
 
 
 def batch(cfg):
@@ -112,8 +115,7 @@ def batch(cfg):
     return [np.concatenate(parts) for parts in zip(*blocks)]
 
 
-@pytest.mark.parametrize("theorem, family, params", FAMILIES,
-                         ids=[f"{t}-{f}{'-deg16' if p else ''}" for t, f, p in FAMILIES])
+@pytest.mark.parametrize("theorem, family, params", FAMILIES, ids=IDS)
 def test_runners_read_only_the_declared_streams(theorem, family, params):
     # a campaign hashes only the child seeds _FAMILIES declares; a runner
     # reading another would raise IndexError from SampleSeeds
@@ -123,8 +125,7 @@ def test_runners_read_only_the_declared_streams(theorem, family, params):
         assert harness._run(cfg, i, SampleSeeds(row)).to_dict() == run_sample(cfg, i).to_dict()
 
 
-@pytest.mark.parametrize("theorem, family, params", FAMILIES,
-                         ids=[f"{t}-{f}{'-deg16' if p else ''}" for t, f, p in FAMILIES])
+@pytest.mark.parametrize("theorem, family, params", FAMILIES, ids=IDS)
 def test_batch_agrees_with_run_sample(theorem, family, params):
     cfg = CampaignConfig(theorem, family, BLOCK + 3, 9, family_params=params)
     lhs, rhs, err, unsure = batch(cfg)
@@ -134,6 +135,11 @@ def test_batch_agrees_with_run_sample(theorem, family, params):
     if family == "realpart":
         # every sample violates: the batch leaves them all to the scalar runner
         assert unsure.all() and all(r.violated for r in reports)
+    elif "max_power" in params:
+        # a high power sends more base points past the drawn attempts, but
+        # numpy's complex power decides some lanes of every power
+        power = np.array([r.witnesses["f"]["power"] for r in reports])
+        assert (sure & (power > 100)).any()
     else:
         assert sure.sum() >= 0.99 * cfg.samples
     assert np.all(np.abs(lhs - want_lhs)[sure] <= 1e-12 * np.abs(want_lhs)[sure])
@@ -147,6 +153,22 @@ def test_batch_agrees_with_run_sample(theorem, family, params):
     # the campaign's bytes are those of the report assembled from run_sample
     assert (run_campaign(cfg).to_json(include_timing=False)
             == replayed_campaign(cfg, reports).to_json(include_timing=False))
+
+
+def test_undecided_lanes_are_nan():
+    # what run_campaign subtracts from an undecided lane is NaN, never inf - inf
+    cfg = CampaignConfig("punctured", "exp", BLOCK + 3, 5, family_params={"max_power": 40})
+    lhs, rhs, err, unsure = batch(cfg)
+    assert unsure.sum() == 121
+    for x in (lhs, rhs, err):
+        assert np.isnan(x[unsure]).all() and np.isfinite(x[~unsure]).all()
+
+
+def test_high_power_campaign_raises_no_warning():
+    # pytest turns warnings into errors: no lane's margin may warn
+    cfg = CampaignConfig("punctured", "exp", 600, 0, family_params={"max_power": 150})
+    assert (run_campaign(cfg).to_json(include_timing=False)
+            == replayed_campaign(cfg).to_json(include_timing=False))
 
 
 @pytest.mark.parametrize("theorem, family", [("two_point", "mix"), ("fixed_point", "fixing")])

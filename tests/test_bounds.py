@@ -6,7 +6,6 @@ import pytest
 from hypbound import (
     BlaschkeProduct,
     Composition,
-    Identity,
     Mobius,
     Model,
     ModelPoint,
@@ -92,7 +91,7 @@ class TestConstants:
 
 class TestCheckTwoPoint:
     def test_identity_map(self):
-        r = check_two_point(Identity(Model.DISC), ModelPoint.disc(0.3),
+        r = check_two_point(Mobius.identity(Model.DISC), ModelPoint.disc(0.3),
                             ModelPoint.disc(-0.3), ModelPoint.disc(0.5j))
         assert r.lhs == 0.0 and r.rhs == 0.0 and not r.violated
         assert r.theorem == "two_point"
@@ -151,7 +150,7 @@ class TestCheckTwoPoint:
     def test_non_automorphism_reference_rejected(self):
         shrink = Mobius(0.3, 0.0, 0.0, 1.0, Model.DISC)  # self-map, not onto
         with pytest.raises(PreconditionError):
-            check_two_point(Identity(Model.DISC), ModelPoint.disc(0.3),
+            check_two_point(Mobius.identity(Model.DISC), ModelPoint.disc(0.3),
                             ModelPoint.disc(-0.3), ModelPoint.disc(0.5j), h=shrink)
 
     def test_witnesses_serialized(self):
@@ -173,7 +172,7 @@ class TestCheckTwoPoint:
 
 class TestCheckFixedPoint:
     def test_identity(self):
-        r = check_fixed_point(Identity(Model.DISC), ModelPoint.disc(0.5),
+        r = check_fixed_point(Mobius.identity(Model.DISC), ModelPoint.disc(0.5),
                               ModelPoint.disc(0.0), ModelPoint.disc(0.3j))
         assert r.lhs == 0.0 and not r.violated
 
@@ -227,7 +226,7 @@ class TestCheckPunctured:
     def test_constant_at_density_minimum(self):
         a = ModelPoint.punctured(1.0 / math.e)
         f = PuncturedExp(0.0, 1, 0.2)
-        h = Identity(Model.PUNCTURED_DISC)
+        h = PuncturedPower(0.0, 1)
         r = check_punctured(f, h, a, a)  # z = a, so L = 8 e
         assert abs(r.constant - (8.0 * math.e) ** 3) <= 1e-9 * r.constant
         base_gap = punctured_dist(evaluate(f, a), a)
@@ -235,7 +234,7 @@ class TestCheckPunctured:
 
     def test_exp_against_identity(self):
         f = PuncturedExp(0.0, 1, 0.1)
-        h = Identity(Model.PUNCTURED_DISC)
+        h = PuncturedPower(0.0, 1)
         a = ModelPoint.punctured(math.exp(-2 * math.pi))
         z = ModelPoint.punctured(0.5)
         r = check_punctured(f, h, a, z)

@@ -7,7 +7,7 @@ from hypbound import (
     Composition,
     DomainError,
     HoloMap,
-    Identity,
+    Mobius,
     Model,
     ModelPoint,
     PreconditionError,
@@ -147,7 +147,7 @@ class TestDeckTranslation:
         # identity against e^{+-i pi} z: the reference lift sits at Re +-1/2
         # while f's principal lift sits at Re 0, so offsets k and k + 1 tie
         anchor = ModelPoint.upper(0.7j)
-        f = Identity(Model.PUNCTURED_DISC)
+        f = PuncturedPower(0.0, 1)
         for theta, expected in ((math.pi, 0), (-math.pi, -1)):
             h = PuncturedPower(theta, 1)
             base = principal_lift(evaluate(f, cover_pi(anchor))).value
@@ -188,7 +188,7 @@ class TestDensityEstimates:
 
 class TestDegreeContour:
     def test_identity_has_degree_one(self):
-        result = degree_contour(Identity(Model.PUNCTURED_DISC))
+        result = degree_contour(PuncturedPower(0.0, 1))
         assert result.value == 1 and result.residual < 1e-6
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
@@ -209,9 +209,20 @@ class TestDegreeContour:
         f = Composition((PuncturedExp(0.1, 2, 0.5), PuncturedPower(0.4, 3)))
         assert degree_contour(f).value == 6 == declared_degree(f)
 
+    @pytest.mark.parametrize("spec, value, residual", [
+        ("identity|power:m=2", 2, 1.1709383462843448e-17),
+        ("power:m=2|identity", 2, 1.5178830414797062e-18),
+        ("power:m=3,theta=0.7|exp:m=2,c=0.5", 6, 9.237024812647398e-16),
+    ])
+    def test_composed_residuals_are_pinned(self, spec, value, residual):
+        # what `hypbound degree` prints, bit for bit: the inner maps enter
+        # the composed log-derivative through their derivatives
+        assert degree_contour(parse_map_spec(spec)).to_dict() == {
+            "value": value, "residual": residual, "panels": 128}
+
     def test_wrong_model_rejected(self):
         with pytest.raises(DomainError):
-            degree_contour(Identity(Model.DISC))
+            degree_contour(Mobius.identity(Model.DISC))
         with pytest.raises(DomainError):
             degree_contour(RealPartMap())
 
@@ -310,7 +321,7 @@ class TestLifts:
 
     def test_needs_positive_degree(self):
         with pytest.raises(PreconditionError):
-            lift_map(Identity(Model.DISC), ModelPoint.upper(1j))
+            lift_map(Mobius.identity(Model.DISC), ModelPoint.upper(1j))
 
 
 class TestNormalizedLift:
@@ -322,7 +333,7 @@ class TestNormalizedLift:
 
     def test_displacement_matches_punctured_dist(self):
         f = PuncturedExp(0.0, 1, 0.1)
-        h = Identity(Model.PUNCTURED_DISC)
+        h = PuncturedPower(0.0, 1)
         anchor = ModelPoint.upper(1j)
         _, disp = normalized_lift(f, h, anchor)
         a = cover_pi(anchor)

@@ -24,7 +24,7 @@ from hypbound import (
     run_sample,
 )
 from hypbound.cli import main
-from hypbound import harness
+from hypbound import cli, harness
 from hypbound.errors import NumericalError
 from hypbound.harness import (_sample_disc_point, _separated, _uniforms, derive_seeds,
                               write_rows_csv)
@@ -685,6 +685,23 @@ class TestCli:
         assert main(argv + ["--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err == f"error: cannot write {tmp_path}: Is a directory\n"
 
+    def test_verify_opens_out_before_the_campaign(self, tmp_path, monkeypatch, capsys):
+        # --out is truncated before any sample runs, as a shell redirect truncates it
+        path = tmp_path / "report.json"
+        path.write_text("stale")
+        seen = []
+        monkeypatch.setattr(cli, "run_campaign",
+                            lambda cfg: seen.append(path.read_text()) or run_campaign(cfg))
+        argv = ["verify", "--theorem", "two_point", "--family", "mix", "--samples", "10"]
+        assert main(argv + ["--out", str(path)]) == 0
+        assert seen == [""] and json.loads(path.read_text())["violations"] == []
+        capsys.readouterr()
+        # so an unwritable path ends at once
+        monkeypatch.setattr(cli, "run_campaign", lambda cfg: pytest.fail("the campaign ran"))
+        for bad in (tmp_path / "missing" / "out", tmp_path):
+            assert main(argv + ["--out", str(bad)]) == 2
+            assert capsys.readouterr().err.startswith(f"error: cannot write {bad}: ")
+
     def test_halfplane_csv(self, tmp_path):
         path = tmp_path / "hp.csv"
         out = run_cli("halfplane", "--n", "10,100", "--out", str(path))
@@ -770,7 +787,7 @@ class TestCli:
                       "--samples", "200", "--out", str(path), timeout=60)
         assert out.returncode == 2
         assert out.stderr.startswith("error: sample 120 of seed 42: could not sample")
-        assert not path.exists()
+        assert path.read_text() == ""  # truncated before the campaign, and no report written
 
     def test_realpart_small_radius_exits(self):
         # |Im z| < tanh(0.025) < 0.1 for every z the sampler can draw

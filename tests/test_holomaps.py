@@ -9,12 +9,10 @@ from hypbound import (
     Composition,
     DomainError,
     HalfPlaneTranslate,
-    Identity,
     IntegrityError,
     Mobius,
     Model,
     ModelPoint,
-    PreconditionError,
     PuncturedExp,
     PuncturedPower,
     RealPartMap,
@@ -27,15 +25,14 @@ from hypbound import (
     evaluate,
     map_from_dict,
     sample_map,
-    schwarz_quotient,
 )
 
-from conftest import random_disc_point, random_punctured_point
+from conftest import random_disc_point, random_model_point, random_punctured_point
 
 
 def all_variant_examples():
     return [
-        Identity(Model.DISC),
+        Mobius.identity(Model.DISC),
         Mobius(1.0, -0.3, -0.3, 1.0, Model.DISC),
         BlaschkeProduct(0.7, (0.2 + 0.1j, -0.4j, 0.5)),
         HalfPlaneTranslate(0.25),
@@ -57,7 +54,7 @@ def sample_point_for(f, rng) -> ModelPoint:
 class TestEvaluate:
     def test_identity(self):
         z = ModelPoint.disc(0.3 + 0.2j)
-        assert evaluate(Identity(Model.DISC), z).value == z.value
+        assert evaluate(Mobius.identity(Model.DISC), z).value == z.value
 
     def test_halfplane_translate(self):
         out = evaluate(HalfPlaneTranslate(0.01), ModelPoint.right(0.1))
@@ -69,7 +66,7 @@ class TestEvaluate:
 
     def test_model_mismatch(self):
         with pytest.raises(DomainError):
-            evaluate(Identity(Model.DISC), ModelPoint.upper(1j))
+            evaluate(Mobius.identity(Model.DISC), ModelPoint.upper(1j))
 
     def test_escaping_image(self):
         # w -> 2w is not a self-map of the disc: 0.9 goes to 1.8
@@ -148,7 +145,7 @@ class TestVariantValidation:
 
     def test_composition_single_model(self):
         with pytest.raises(ValidationError):
-            Composition((Identity(Model.DISC), PuncturedPower(0.0, 1)))
+            Composition((Mobius.identity(Model.DISC), PuncturedPower(0.0, 1)))
 
     def test_contraction_flag(self):
         assert RealPartMap().contraction_only
@@ -185,47 +182,6 @@ class TestContraction:
     def test_real_part_fixes_reals(self):
         out = evaluate(RealPartMap(), ModelPoint.disc(0.731))
         assert out.value == 0.731 + 0j
-
-
-class TestSchwarzQuotient:
-    def test_monomial(self):
-        g = schwarz_quotient(BlaschkeProduct(0.0, (0.0, 0.0)))  # w^2
-        assert abs(g.value_at(0.3 + 0.1j) - (0.3 + 0.1j)) <= 1e-12
-        assert abs(g.value_at(0.0)) <= 1e-12
-
-    def test_blaschke_factor_cancellation(self):
-        f = BlaschkeProduct(0.0, (0.0, 0.5))  # w * (w - 0.5)/(1 - 0.5 w)
-        g = schwarz_quotient(f)
-        w = 0.2 - 0.3j
-        expected = (w - 0.5) / (1.0 - 0.5 * w)
-        assert abs(g.value_at(w) - expected) <= 1e-12
-        assert abs(g.value_at(0.0) + 0.5) <= 1e-12
-
-    def test_linear_scaling(self):
-        f = Mobius(0.3, 0.0, 0.0, 1.0, Model.DISC)  # w -> 0.3 w
-        g = schwarz_quotient(f)
-        assert abs(g.value_at(0.0) - 0.3) <= 1e-12
-        assert abs(g.value_at(0.6j) - 0.3) <= 1e-12
-
-    def test_needs_origin_fixed(self):
-        with pytest.raises(PreconditionError):
-            schwarz_quotient(BlaschkeProduct(0.0, (0.5,)))
-
-    def test_rejects_non_holomorphic(self):
-        with pytest.raises(PreconditionError):
-            schwarz_quotient(RealPartMap())
-
-    def test_image_in_closed_disc(self, rng):
-        maps = [
-            BlaschkeProduct(0.9, (0.0, 0.3, -0.2j)),
-            Composition((BlaschkeProduct(0.0, (0.0,)), BlaschkeProduct(0.1, (0.0, 0.5)))),
-            Identity(Model.DISC),
-        ]
-        for f in maps:
-            g = schwarz_quotient(f)
-            for _ in range(1000):
-                w = random_disc_point(rng).value
-                assert abs(g.value_at(w)) <= 1.0 + 1e-9
 
 
 class TestSampleMap:
@@ -320,8 +276,8 @@ class TestDeclaredDegree:
         assert declared_degree(PuncturedPower(0.2, 3)) == 3
 
     def test_identity_on_punctured(self):
-        assert declared_degree(Identity(Model.PUNCTURED_DISC)) == 1
-        assert declared_degree(Identity(Model.DISC)) is None
+        assert declared_degree(PuncturedPower(0.0, 1)) == 1
+        assert declared_degree(Mobius.identity(Model.DISC)) is None
 
     def test_composition_multiplies(self):
         f = Composition((PuncturedPower(0.0, 2), PuncturedPower(0.0, 3)))
@@ -344,6 +300,23 @@ class TestSerialization:
         m = Mobius(1.25, 0.75, 0.75, 1.25, Model.DISC)  # determinant 1 already
         assert m.to_dict() == {"variant": "mobius_automorphism", "model": "disc",
                                "matrix": [[1.25, 0.0], [0.75, 0.0], [0.75, 0.0], [1.25, 0.0]]}
+
+    def test_punctured_power_dict_is_pinned(self):
+        # the h witness of every punctured report: no decay key
+        assert PuncturedPower(0.5, 3).to_dict() == {"variant": "punctured_power",
+                                                    "rotation": 0.5, "power": 3}
+
+    @pytest.mark.parametrize("model", list(Model), ids=[m.value for m in Model])
+    def test_identity_dict_is_read_on_every_model(self, model, rng):
+        g = map_from_dict({"variant": "identity", "model": model.value})
+        if model is Model.PUNCTURED_DISC:
+            assert g == PuncturedPower(0.0, 1) and g.declared_degree() == 1
+        else:
+            assert g == Mobius.identity(model) and g.declared_degree() is None
+        for _ in range(20):
+            z = (random_punctured_point(rng) if model is Model.PUNCTURED_DISC
+                 else random_model_point(rng, model))
+            assert evaluate(g, z).value == z.value
 
     def test_sampled_automorphisms_are_mobius_maps(self):
         for family in ("disc_automorphism", "near_identity"):

@@ -2,10 +2,13 @@
 over arrays of lanes, one lane per sample, on a numpy port of PCG64.
 
 Each lane draws what its scalar runner draws, bit for bit, from the words
-``seeding.block_states`` gives it. A runner returns each lane's lhs and rhs
-and marks the lanes it cannot decide for certain: those past the draws it
-made (``TRIES`` attempts of a rejection loop, a Lemire rejection or a
-degree above ``MAX_PAD``) or near the threshold of a test or a refusal.
+``seeding.block_states`` gives it, and no more: a rejection loop draws one
+attempt, and a second pass draws ``TRIES`` for the lanes whose first fails
+or is near its threshold; a ``mix`` lane draws only the map of its kind. A
+runner returns each lane's lhs and rhs and marks the lanes it cannot decide
+for certain: those past the draws it made (``TRIES`` attempts of a
+rejection loop, a Lemire rejection or a degree above ``MAX_PAD``) or near
+the threshold of a test or a refusal.
 ``harness.run_campaign`` re-runs those through the scalar runner.
 """
 
@@ -20,7 +23,7 @@ from .bounds import MIN_SEPARATION
 from .models import BOUNDARY_MARGIN, TO_UPPER, Model, _adjugate, _mapply
 
 SLACK = 1e-9  # relative: a test this near its threshold is left to the scalar runner
-TRIES = 4  # attempts of each rejection loop drawn per lane
+TRIES = 16  # attempts of a rejection loop drawn for a lane whose first fails
 MAX_PAD = 32  # Blaschke zeros per lane
 
 _U32, _S32 = np.uint64(0xFFFFFFFF), np.uint64(32)
@@ -182,27 +185,26 @@ def _apply_blaschke(b, w):
     return value
 
 
-def _disc_map(cfg, words, unsure):
-    """``harness._draw_disc_map`` per lane, as a function of points (lanes, P)."""
+def _disc_images(cfg, words, points, unsure):
+    """The images of points (lanes, P) under each lane's ``harness._draw_disc_map``."""
     if cfg.family == "automorphism":
-        return functools.partial(_mapply, _automorphism(words[:, 0]))
+        return _mapply(_automorphism(words[:, 0]), points)
     deg = cfg.params["max_degree"]
     if cfg.family == "blaschke":
-        return functools.partial(_apply_blaschke, _blaschke(words[:, 0], deg, unsure))
-    # mix: a Blaschke product, an automorphism, or the automorphism then a Blaschke product
+        return _apply_blaschke(_blaschke(words[:, 0], deg, unsure), points)
+    # mix: the lanes drawing a Blaschke product, an automorphism, or the automorphism then
+    # a Blaschke product; each draws and evaluates the map of its kind alone
     kind, _ = _draw_integer(outputs(words[:, 0], 1), 0, 3, unsure)
-    drawn = [np.zeros_like(unsure) for _ in range(3)]
-    b = _blaschke(words[:, 2], deg, drawn[0])
-    m = _automorphism(words[:, 2])
-    inner = _blaschke(words[:, 3], max(1, deg - 1), drawn[2])
-    unsure |= np.choose(kind, drawn)
-
-    def evaluate(w):
-        moved = _mapply(m, w)
-        return np.choose(kind[:, None],
-                         [_apply_blaschke(b, w), moved, _apply_blaschke(inner, moved)])
-
-    return evaluate
+    b, m, mb = (kind == k for k in range(3))
+    drawn_b, drawn_mb = np.zeros(b.sum(), dtype=bool), np.zeros(mb.sum(), dtype=bool)
+    images = np.empty_like(points)
+    images[b] = _apply_blaschke(_blaschke(words[b, 2], deg, drawn_b), points[b])
+    images[m] = _mapply(_automorphism(words[m, 2]), points[m])
+    moved = _mapply(_automorphism(words[mb, 2]), points[mb])
+    images[mb] = _apply_blaschke(_blaschke(words[mb, 3], max(1, deg - 1), drawn_mb), moved)
+    unsure[b] |= drawn_b
+    unsure[mb] |= drawn_mb
+    return images
 
 
 def _separated(points, other, min_sep: float, unsure):
@@ -213,15 +215,29 @@ def _separated(points, other, min_sep: float, unsure):
     return _first(d >= min_sep, _near(d, min_sep, _error(points, other)), unsure)
 
 
-def _disc_sample(cfg, words, unsure):
+def _retried(draw, unsure, *lanes):
+    """``draw(tries, unsure, *lanes)``, a sampler whose rejection loops draw
+    ``tries`` attempts, over the rows of ``lanes``: one attempt on every lane,
+    then TRIES on those whose first attempt fails or is near a threshold."""
+    retry = np.zeros_like(unsure)
+    got = draw(1, retry, *lanes)
+    if retry.any():
+        flags = np.zeros(retry.sum(), dtype=bool)
+        for x, again in zip(got, draw(TRIES, flags, *(rows[retry] for rows in lanes))):
+            x[retry] = again
+        unsure[retry] |= flags
+    return got
+
+
+def _disc_sample(cfg, tries, unsure, words):
     """The disc runners' points, from stream 1: one, then another separated
     from it, then z."""
     half = cfg.max_radius / 2.0
-    u = doubles(outputs(words[:, 1], 4 + 2 * TRIES))
+    u = doubles(outputs(words, 4 + 2 * tries))
     first = _sample_disc_points(half, u[:, :2])
-    tries = _sample_disc_points(half, u[:, 2:2 + 2 * TRIES])
-    t = _separated(tries, first, cfg.min_sep, unsure)
-    return first, _take(tries, t), _sample_disc_points(half, _take(u, 2 * t[:, None] + [4, 5]))
+    attempts = _sample_disc_points(half, u[:, 2:2 + 2 * tries])
+    t = _separated(attempts, first, cfg.min_sep, unsure)
+    return first, _take(attempts, t), _sample_disc_points(half, _take(u, 2 * t[:, None] + [4, 5]))
 
 
 def _distances(unsure, points, images, first: list, second: list) -> list:
@@ -237,9 +253,9 @@ def _distances(unsure, points, images, first: list, second: list) -> list:
 
 
 def _two_point(cfg, words, unsure):
-    a, b, z = _disc_sample(cfg, words, unsure)
+    a, b, z = _retried(functools.partial(_disc_sample, cfg), unsure, words[:, 1])
     points = np.concatenate([a, b, z], axis=1)
-    images = _disc_map(cfg, words, unsure)(points)
+    images = _disc_images(cfg, words, points, unsure)
     # d(a, b), d(z, a), d(b, z), then d(f(z), z), d(f(a), a), d(f(b), b)
     dab, dza, dbz, lhs, dfa, dfb = _distances(unsure, points, images, [0, 2, 1, 5, 3, 4],
                                               [1, 0, 2, 2, 0, 1])
@@ -249,7 +265,7 @@ def _two_point(cfg, words, unsure):
 
 
 def _fixed_point(cfg, words, unsure):
-    b, a, z = _disc_sample(cfg, words, unsure)
+    b, a, z = _retried(functools.partial(_disc_sample, cfg), unsure, words[:, 1])
     # w B(w), conjugated by the automorphism sigma exchanging 0 and b
     deg = max(1, cfg.params["max_degree"] - 1)
     rotation, zeros, mask = _blaschke(words[:, 0], deg, unsure)
@@ -287,38 +303,42 @@ def _punctured_dist(w, v):
     return np.where(lower <= upper, lower, upper)
 
 
+def _punctured_points(radius, tries, unsure, words, spin, power, decay):
+    """From stream 1: h's rotation, then a's attempts two doubles each, then z's two each."""
+
+    def f(w):
+        return spin * w ** power * np.exp(decay * (w - 1.0))
+
+    u = doubles(outputs(words, 1 + 4 * tries))
+    lo, hi = math.log(0.05), math.log(0.95)
+    attempts = (np.exp(lo + (hi - lo) * u[:, 1:1 + 2 * tries:2])
+                * np.exp(1j * (math.tau * u[:, 2:2 + 2 * tries:2])))
+    r = np.abs(f(attempts))
+    passed = (r > BOUNDARY_MARGIN) & (r < 1.0 - BOUNDARY_MARGIN)
+    t = _first(passed, _near(r, BOUNDARY_MARGIN) | _near(r, 1.0 - BOUNDARY_MARGIN), unsure)
+    a = _take(attempts, t)
+    lift = _principal(a)
+    w = _sample_disc_points(radius, _take(u, 2 * t[:, None] + 3 + np.arange(2 * tries)))
+    # covering._cover; np.exp on one point would cost the scalar runner a numpy call
+    attempts = np.exp(2j * math.pi * (lift.real + lift.imag * _mapply(TO_UPPER[Model.DISC], w)))
+    r, image = np.abs(attempts), np.abs(f(attempts))
+    passed = (1e-6 < r) & (r < 1.0 - 1e-8) & (image > 1e-12)
+    near = _near(r, 1e-6) | _near(r, 1.0 - 1e-8) | _near(image, 1e-12)
+    return u[:, :1], a, _take(attempts, _first(passed, near, unsure))
+
+
 def _punctured(cfg, words, unsure):
     max_power = cfg.params["max_power"]
     power, out = _draw_integer(outputs(words[:, 0], (max_power > 1) + 2), 1, max_power + 1,
                                unsure)
     u = doubles(out)
-    spin = np.exp(1j * (math.tau * u[:, :1]))
-    decay = cfg.params["max_decay"] * u[:, 1:]
-
-    def f(w):
-        return spin * w ** power[:, None] * np.exp(decay * (w - 1.0))
-
-    # h's rotation, then a's attempts two doubles each, then z's two each
-    u = doubles(outputs(words[:, 1], 1 + 4 * TRIES))
-    lo, hi = math.log(0.05), math.log(0.95)
-    tries = (np.exp(lo + (hi - lo) * u[:, 1:1 + 2 * TRIES:2])
-             * np.exp(1j * (math.tau * u[:, 2:2 + 2 * TRIES:2])))
-    r = np.abs(f(tries))
-    passed = (r > BOUNDARY_MARGIN) & (r < 1.0 - BOUNDARY_MARGIN)
-    t = _first(passed, _near(r, BOUNDARY_MARGIN) | _near(r, 1.0 - BOUNDARY_MARGIN), unsure)
-    a = _take(tries, t)
-    lift = _principal(a)
-    v = _take(u, 2 * t[:, None] + 3 + np.arange(2 * TRIES))
-    w = _sample_disc_points(min(4.0, cfg.max_radius), v)
-    # covering._cover; np.exp on one point would cost the scalar runner a numpy call
-    tries = np.exp(2j * math.pi * (lift.real + lift.imag * _mapply(TO_UPPER[Model.DISC], w)))
-    r, image = np.abs(tries), np.abs(f(tries))
-    passed = (1e-6 < r) & (r < 1.0 - 1e-8) & (image > 1e-12)
-    near = _near(r, 1e-6) | _near(r, 1.0 - 1e-8) | _near(image, 1e-12)
-    z = _take(tries, _first(passed, near, unsure))
+    spin, decay = np.exp(1j * (math.tau * u[:, :1])), cfg.params["max_decay"] * u[:, 1:]
+    turn, a, z = _retried(functools.partial(_punctured_points, min(4.0, cfg.max_radius)),
+                          unsure, words[:, 1], spin, power[:, None], decay)
     points = np.concatenate([a, z], axis=1)
-    fa, fz = f(points).T[:, :, None]
-    ha, hz = (np.exp(1j * (math.tau * u[:, :1])) * points ** power[:, None]).T[:, :, None]
+    raised = points ** power[:, None]  # once for f and h
+    fa, fz = (spin * raised * np.exp(decay * (points - 1.0))).T[:, :, None]
+    ha, hz = (np.exp(1j * (math.tau * turn)) * raised).T[:, :, None]
     images = np.concatenate([fa, fz, ha, hz], axis=1)
     _flag(unsure, _refused(images, punctured=True))
     # d*(z, a), d*(f(z), h(z)), d*(f(a), h(a))

@@ -56,6 +56,8 @@ def _parse_kv(rest: str) -> dict:
             key, _, value = item.partition("=")
             if not value:
                 raise UsageError(f"malformed parameter {item!r}")
+            if key.strip() in out:
+                raise UsageError(f"parameter {key.strip()!r} given twice")
             out[key.strip()] = value.strip()
     return out
 
@@ -99,20 +101,23 @@ def parse_map_spec(text: str):
 
 def parse_family_spec(text: str) -> tuple:
     """``name`` or ``name:k=v,...``; short keys deg/m/c map onto the sampler
-    parameters."""
+    parameters, and each may be given once."""
     name, _, rest = text.strip().partition(":")
     kv = _parse_kv(rest)
     params: dict = {}
     with _malformed_as_usage(f"family spec {text!r}"):
         for key, value in kv.items():
             if key in ("deg", "max_degree"):
-                params["max_degree"] = int(value)
+                param, convert = "max_degree", int
             elif key in ("m", "max_power"):
-                params["max_power"] = int(value)
+                param, convert = "max_power", int
             elif key in ("c", "max_decay"):
-                params["max_decay"] = float(value)
+                param, convert = "max_decay", float
             else:
                 raise UsageError(f"unknown family parameter {key!r}")
+            if param in params:  # named twice, through its short key or its own
+                raise UsageError(f"family parameter {param!r} given twice")
+            params[param] = convert(value)
     return name, params
 
 

@@ -136,6 +136,10 @@ class PuncturedPower(PuncturedExp):
     decay: float = field(default=0.0, init=False)
     self_covering = True
 
+    def value_at(self, z: complex) -> complex:
+        # not the inherited e^{it} z^m e^{0 (z - 1)}: 2.5x the time, for h of every punctured sample
+        return cmath.exp(1j * self.rotation) * z ** self.power
+
     def _derivative(self, z: complex) -> complex:
         # not the inherited f (m/z + c): that rounds differently, and degree residuals read it
         return cmath.exp(1j * self.rotation) * self.power * z ** (self.power - 1)
@@ -242,7 +246,9 @@ def _disc_point(radius: float, u: float, v: float) -> complex:
 # the type of each sampler parameter, the range its values must lie in, and
 # that range in words
 _PARAM_RANGES = {
-    "max_degree": (int, lambda v: v >= 1, ">= 1"),
+    # a Blaschke sample draws up to 2 max_degree + 1 doubles and builds a zero per degree:
+    # the bound keeps one sample to milliseconds
+    "max_degree": (int, lambda v: 1 <= v <= 10 ** 4, "in [1, 10000]"),
     "max_power": (int, lambda v: v >= 1, ">= 1"),
     "max_decay": (float, lambda v: 0.0 <= v < math.inf, "finite and >= 0"),
     "eps": (float, lambda v: 0.0 < v < math.inf, "finite and > 0"),

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from hypbound import (CampaignConfig, ModelPoint, dist, harness, run_campaign, run_sample,
-                      seeding)
+from hypbound import (CampaignConfig, ModelPoint, batch as batch_module, dist, harness,
+                      run_campaign, run_sample, seeding)
 from hypbound.batch import TRIES, doubles, integers, outputs, run_block
 from hypbound.seeding import BLOCK, ChildSeed, SampleSeeds, _seed_sequence, block_states
 
@@ -157,11 +157,108 @@ def test_batch_agrees_with_run_sample(theorem, family, params):
 
 def test_undecided_lanes_are_nan():
     # what run_campaign subtracts from an undecided lane is NaN, never inf - inf
-    cfg = CampaignConfig("punctured", "exp", BLOCK + 3, 5, family_params={"max_power": 40})
+    cfg = CampaignConfig("punctured", "exp", BLOCK + 3, 9, family_params={"max_power": 150})
     lhs, rhs, err, unsure = batch(cfg)
-    assert unsure.sum() == 121
+    assert unsure.sum() == 152
     for x in (lhs, rhs, err):
         assert np.isnan(x[unsure]).all() and np.isfinite(x[~unsure]).all()
+
+
+def retried_lanes(cfg, monkeypatch) -> list:
+    """The samples whose lanes enter the retry pass of ``batch._retried`` in
+    ``batch(cfg)``, found by their stream-1 words."""
+    words = block_states(cfg.seed, 0, cfg.samples, harness._FAMILIES[cfg.family][2])
+    index = {bytes(row[1]): i for i, row in enumerate(words)}
+    retried, real = [], batch_module._retried
+
+    def spy(draw, unsure, *lanes):
+        def recorded(tries, flags, *rows):
+            if tries > 1:
+                retried.extend(index[bytes(row)] for row in rows[0])
+            return draw(tries, flags, *rows)
+
+        return real(recorded, unsure, *lanes)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(batch_module, "_retried", spy)
+        batch(cfg)
+    return sorted(retried)
+
+
+# the uniforms a runner draws when each of its rejection loops accepts its first attempt
+_FIRST_ATTEMPTS = {"two_point": 6, "two_point_sharp": 6, "fixed_point": 6, "punctured": 5}
+DEFAULTS = [c for c in FAMILIES if c[1] != "realpart" and "max_power" not in c[2]]
+
+
+@pytest.mark.parametrize("theorem, family, params", DEFAULTS,
+                         ids=[i for i, c in zip(IDS, FAMILIES) if c in DEFAULTS])
+def test_only_lanes_past_their_first_attempt_are_retried(theorem, family, params,
+                                                         monkeypatch):
+    # the retry pass takes the lanes whose scalar runner draws a second attempt
+    # of some rejection loop, and on the default families no other: none lies
+    # near a threshold. The punctured z is refused more often, below |z| = 1e-6
+    cfg = CampaignConfig(theorem, family, BLOCK + 3, 9, family_params=params)
+    retried = retried_lanes(cfg, monkeypatch)
+    draws, uniforms = [], harness._uniforms
+
+    def counted(rng):
+        uniform = uniforms(rng)
+        return lambda *bounds: draws.append(1) or uniform(*bounds)
+
+    monkeypatch.setattr(harness, "_uniforms", counted)
+    words = block_states(cfg.seed, 0, cfg.samples, harness._FAMILIES[family][2])
+    past = []
+    for i, row in enumerate(words):
+        draws.clear()
+        harness._run(cfg, i, SampleSeeds(row))
+        if len(draws) > _FIRST_ATTEMPTS[theorem]:
+            past.append(i)
+    assert retried == past
+    assert 0 < len(past) <= (0.03 if theorem == "punctured" else 0.01) * cfg.samples
+
+
+@pytest.mark.parametrize("theorem, family, seed, params, settings, most", [
+    ("punctured", "exp", 5, {"max_power": 40}, {}, 5),
+    ("punctured", "exp", 9, {"max_power": 150}, {}, 160),
+    ("two_point", "mix", 3, {}, {"min_sep": 2.5}, 20),
+] + [(t, f, 9, p, {}, 0) for t, f, p in DEFAULTS])
+def test_undecided_lane_counts(theorem, family, seed, params, settings, most):
+    # the lanes left to the scalar runner over a block and a bit; the first
+    # three were 121, 491 and 190 with 4 attempts drawn for every lane.
+    # fixing at max_radius 14.5 and Blaschke degrees past the padding are
+    # counted where their rescue is tested
+    cfg = CampaignConfig(theorem, family, BLOCK + 3, seed, family_params=params, **settings)
+    assert batch(cfg)[3].sum() <= most
+
+
+@pytest.mark.parametrize("theorem, family, seed, params, settings", [
+    ("punctured", "exp", 9, {"max_power": 150}, {}),
+    ("two_point", "mix", 3, {}, {"min_sep": 2.5}),
+])
+def test_retried_blocks_match_the_scalar_runner(theorem, family, seed, params, settings,
+                                                monkeypatch):
+    cfg = CampaignConfig(theorem, family, BLOCK + 3, seed, family_params=params, **settings)
+    assert len(retried_lanes(cfg, monkeypatch)) > 100
+    assert (run_campaign(cfg).to_json(include_timing=False)
+            == replayed_campaign(cfg).to_json(include_timing=False))
+
+
+@pytest.mark.parametrize("theorem, family, params", DEFAULTS,
+                         ids=[i for i, c in zip(IDS, FAMILIES) if c in DEFAULTS])
+def test_blocks_without_retries_match_the_scalar_runner(theorem, family, params, monkeypatch):
+    cfg = CampaignConfig(theorem, family, 20, 2, family_params=params)
+    assert retried_lanes(cfg, monkeypatch) == []
+    assert (run_campaign(cfg).to_json(include_timing=False)
+            == replayed_campaign(cfg).to_json(include_timing=False))
+
+
+@pytest.mark.parametrize("samples", [1, 2, 3])
+def test_mix_lanes_of_each_kind_match_the_scalar_runner(samples):
+    # in so few lanes some kind of map has none to draw or evaluate
+    for seed in range(6):
+        cfg = CampaignConfig("two_point", "mix", samples, seed)
+        assert (run_campaign(cfg).to_json(include_timing=False)
+                == replayed_campaign(cfg).to_json(include_timing=False))
 
 
 def test_high_power_campaign_raises_no_warning():
@@ -205,7 +302,8 @@ def test_rejection_loop_past_the_drawn_attempts_is_rescued(monkeypatch):
 
 
 def test_degree_past_the_padding_is_rescued():
-    cfg = CampaignConfig("two_point", "blaschke", 60, 2, family_params={"max_degree": 40})
+    # over a block edge: the lanes left to the scalar runner are those past it, and no other
+    cfg = CampaignConfig("two_point", "blaschke", BLOCK + 3, 2, family_params={"max_degree": 40})
     *_, unsure = batch(cfg)
     degrees = np.array([len(run_sample(cfg, i).witnesses["f"]["zeros"])
                         for i in range(cfg.samples)])

@@ -126,6 +126,17 @@ class TestConfig:
         with pytest.raises(UsageError, match=next(iter(params))):
             CampaignConfig(theorem, family, 10, 1, family_params=params)
 
+    def test_max_degree_is_bounded(self):
+        # a Blaschke sample draws 2 max_degree + 1 doubles: the bound is
+        # refused before any sample is drawn, and the edge is only configured
+        for value in (10 ** 4 + 1, 10 ** 8):
+            for family in ("blaschke", "mix"):
+                with pytest.raises(UsageError, match="max_degree"):
+                    CampaignConfig("two_point", family, 10, 1, family_params={"max_degree": value})
+            with pytest.raises(UsageError, match="max_degree"):
+                hypbound.sample_map("blaschke", 0, {"max_degree": value})
+        CampaignConfig("two_point", "blaschke", 10, 1, family_params={"max_degree": 10 ** 4})
+
     def test_family_param_range_edges_accepted(self):
         for theorem, family, params in (("fixed_point", "fixing", {"max_degree": 1}),
                                         ("two_point", "mix", {"max_degree": 1}),
@@ -762,6 +773,35 @@ class TestCli:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: malformed ")
+
+    @pytest.mark.parametrize("argv, key", [
+        (["verify", "--theorem", "two_point", "--family", "mix:deg=5,deg=6"], "'deg'"),
+        (["verify", "--theorem", "two_point", "--family", "mix:deg=5,max_degree=6"],
+         "'max_degree'"),
+        (["verify", "--theorem", "two_point", "--family", "blaschke:max_degree=5,deg=5"],
+         "'max_degree'"),
+        (["verify", "--theorem", "punctured", "--family", "exp:m=3,max_power=4"], "'max_power'"),
+        (["verify", "--theorem", "punctured", "--family", "exp:m=3,c=1,max_decay=2"],
+         "'max_decay'"),
+        (["degree", "power:m=3,m=4"], "'m'"),
+        (["degree", "exp:m=3,c=1,c=1"], "'c'"),
+        (["degree", "power:theta=1,m=2,theta=2|identity"], "'theta'"),
+    ], ids=["mix-deg-deg", "mix-deg-max_degree", "blaschke-max_degree-deg", "exp-m-max_power",
+            "exp-c-max_decay", "power-m-m", "exp-c-c", "power-theta-theta"])
+    def test_parameter_given_twice_is_usage_error(self, argv, key, capsys):
+        # neither the first nor the last value is kept silently
+        assert main(argv) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("error: ") and f"{key} given twice" in out.err
+
+    def test_huge_max_degree_exits(self):
+        out = run_cli("verify", "--theorem", "two_point", "--family", "blaschke:deg=100000000",
+                      "--samples", "2", timeout=30)
+        assert out.returncode == 2
+        assert out.stdout == ""
+        assert out.stderr.splitlines() == [
+            "error: malformed max_degree=100000000: must be in [1, 10000]"]
 
     def test_unused_family_param_exits(self):
         out = run_cli("verify", "--theorem", "two_point", "--family", "automorphism:deg=3",

@@ -41,7 +41,7 @@ def _jumps(k: int) -> list:
         cols.append((a, b))
         a, b = a * _MULT % mod, (b * _MULT + 1) % mod
     limbs = (np.array([[v >> 64, v % 2 ** 64] for v in c], dtype=np.uint64) for c in zip(*cols))
-    return [(hi, lo, lo & _U32, lo >> _S32) for hi, lo in (c.T for c in limbs)]
+    return [(hi, lo, lo & _U32, lo >> _S32) for hi, lo in (c.T[:, :, None] for c in limbs)]
 
 
 def _mul(xh, xl, c):
@@ -56,16 +56,17 @@ def _mul(xh, xl, c):
 
 def outputs(words: np.ndarray, k: int) -> np.ndarray:
     """The first k outputs (lanes, k) of each lane's PCG64, seeded from its
-    row of ``words``, the four words ``block_states`` gives a child seed."""
-    w = words[:, :, None]
+    row of ``words``, the four words ``block_states`` gives a child seed; as
+    (k, lanes) transposed, so that each limb product pairs arrays of one shape."""
+    w = words.T
     a, b = _jumps(k)
-    sh, sl = _mul(w[:, 0], w[:, 1], a)
-    ih, il = _mul((w[:, 2] << np.uint64(1)) | (w[:, 3] >> np.uint64(63)),
-                  (w[:, 3] << np.uint64(1)) | np.uint64(1), b)
+    sh, sl = _mul(w[0], w[1], a)
+    ih, il = _mul((w[2] << np.uint64(1)) | (w[3] >> np.uint64(63)),
+                  (w[3] << np.uint64(1)) | np.uint64(1), b)
     lo = sl + il
     hi = sh + ih + (lo < sl)
     x, r = hi ^ lo, hi >> np.uint64(58)
-    return (x >> r) | (x << ((np.uint64(64) - r) & np.uint64(63)))
+    return ((x >> r) | (x << ((np.uint64(64) - r) & np.uint64(63)))).T
 
 
 def doubles(out: np.ndarray) -> np.ndarray:
@@ -125,7 +126,7 @@ def _first(passed, near, unsure):
 
 
 def _take(a, index):
-    return np.take_along_axis(a, index if index.ndim == 2 else index[:, None], axis=1)
+    return a[np.arange(len(a))[:, None], index if index.ndim == 2 else index[:, None]]
 
 
 def _dist(u, v, unsure):
@@ -175,14 +176,14 @@ def _blaschke(words, max_degree: int, unsure):
 
 
 def _apply_blaschke(b, w):
+    """The Blaschke products b at the points w (lanes, P): one division per point
+    of the products of the numerators and of the denominators, 1 in a padded slot."""
     rotation, zeros, mask = b
-    z0 = zeros[:, None, :]
-    factors = (w[:, :, None] - z0) / (1.0 - z0.conj() * w[:, :, None])
-    factors[~np.broadcast_to(mask[:, None, :], factors.shape)] = 1.0
-    value = np.exp(1j * rotation)
-    for k in range(factors.shape[2]):
-        value = value * factors[:, :, k]
-    return value
+    num, den = np.exp(1j * rotation), 1.0
+    for z, on in zip(zeros.T[:, :, None], mask.T[:, :, None]):
+        num = num * np.where(on, w - z, 1.0)
+        den = den * np.where(on, 1.0 - z.conj() * w, 1.0)
+    return num / den
 
 
 def _disc_images(cfg, words, points, unsure):

@@ -323,10 +323,20 @@ def run_campaign(cfg: CampaignConfig) -> CampaignReport:
             rescue(lo + j, SampleSeeds(words[j]))
     for i in _rank_lanes(margins, errors):
         rescue(i, SampleSeeds(words[i - lo]) if i >= lo else derive_seeds(cfg.seed, i))
-    stats = {"min": float(margins.min()), "median": float(np.median(margins)),
-             "p99": float(np.percentile(margins, 99)), "max": float(margins.max())}
-    return CampaignReport(cfg, [violations[i] for i in sorted(violations)], stats,
-                          time.perf_counter() - start)
+    return CampaignReport(cfg, [violations[i] for i in sorted(violations)],
+                          margin_stats(np.sort(margins)), time.perf_counter() - start)
+
+
+def margin_stats(s) -> dict:
+    """The min, median, p99 and max of finite margins, read from their sorted
+    array ``s``; p99 is interpolated as ``np.percentile`` does, to the bit."""
+    n = len(s)
+    v = (n - 1) * 0.99
+    j = math.floor(v)
+    a, b, lo, hi, first, last = s[[j, min(j + 1, n - 1), (n - 1) // 2, n // 2, 0, -1]].tolist()
+    t = v - j
+    return {"min": first, "median": lo if n % 2 else (lo + hi) / 2.0,
+            "p99": a + (b - a) * t if t < 0.5 else b - (b - a) * (1.0 - t), "max": last}
 
 
 def _rank_lanes(margins, errors) -> list:

@@ -1,5 +1,5 @@
-"""Campaign seeding, a block of samples at a time: a vectorised port of the
-two ``SeedSequence`` levels of ``harness.derive_seeds``, whose words reach
+"""Campaign seeding, a block of samples at a time: a uint32 port of the two
+``SeedSequence`` levels of ``harness.derive_seeds``, whose words reach
 numpy's own PCG64 through an ``ISeedSequence`` stand-in, so that every
 generator starts as ``np.random.default_rng`` of the int child would."""
 
@@ -12,7 +12,7 @@ from numpy.random.bit_generator import ISeedSequence
 _M32 = 0xFFFFFFFF
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 # samples seeded per pass; a power of two, so no block straddles 2^32
 BLOCK = 1024
 
@@ -32,23 +32,25 @@ def _hashes(init: int, mult: int, count: int) -> np.ndarray:
     h = [init]
     for _ in range(count):
         h.append(h[-1] * mult & _M32)
-    return np.array(h, dtype=np.uint64)[:, None]
+    return np.array(h, dtype=np.uint32)[:, None]
 
 
 def _seed_sequence(entropy: list, n_words: int) -> np.ndarray:
     """``SeedSequence(e).generate_state(n_words, np.uint64)`` for every
     entropy e at once: ``entropy`` holds e's uint32 words, lowest first, as
-    uint64 arrays with one entry per e; row k of the result holds word k.
-    The hash constants do not depend on the data, so the hashes of one pool
-    word into the three others, and all the output words, are taken at once."""
+    arrays with one entry per e; row k of the result holds word k. The hash
+    runs on uint32, whose products wrap mod 2^32 as SeedSequence's do. The hash
+    constants do not depend on the data, so the hashes of one pool word into
+    the three others, and all the output words, are taken at once."""
+    entropy = [np.asarray(e, dtype=np.uint32) for e in entropy]
     extra = entropy[4:]
 
     def hashmix(values, h):
-        values = ((values ^ h[:-1]) * h[1:]) & _M32
+        values = (values ^ h[:-1]) * h[1:]
         return values ^ (values >> 16)
 
     def mix(x, y):
-        value = (x * _MIX_L - y * _MIX_R) & _M32
+        value = x * _MIX_L - y * _MIX_R
         return value ^ (value >> 16)
 
     h = _hashes(_INIT_A, _MULT_A, 16 + 4 * len(extra))
@@ -60,7 +62,7 @@ def _seed_sequence(entropy: list, n_words: int) -> np.ndarray:
     for k, word in enumerate(extra):
         pool = mix(pool, hashmix(word, h[16 + 4 * k:21 + 4 * k]))
     out = hashmix(pool[np.arange(2 * n_words) % 4], _hashes(_INIT_B, _MULT_B, 2 * n_words))
-    return out[0::2] | (out[1::2] << 32)
+    return out[0::2] | (out[1::2].astype(np.uint64) << 32)
 
 
 def block_states(seed: int, start: int, stop: int, streams: int) -> np.ndarray:
@@ -73,7 +75,7 @@ def block_states(seed: int, start: int, stop: int, streams: int) -> np.ndarray:
     pair (c, 0) does, so every child goes through as two words."""
     n = stop - start
     index = np.arange(start, stop, dtype=np.uint64)
-    entropy = [np.full(n, w, dtype=np.uint64) for w in _words(seed)]
+    entropy = [np.full(n, w, dtype=np.uint32) for w in _words(seed)]
     entropy += [(index >> np.uint64(32 * j)) & _M32 for j in range(len(_words(start)))]
     children = _seed_sequence(entropy, streams).reshape(-1)  # child k of i at k n + i - start
     words = _seed_sequence([children & _M32, children >> 32], 4).reshape(4, streams, n)

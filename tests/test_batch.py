@@ -40,9 +40,11 @@ class TestPort:
             np.stack(_seed_sequence([children & 0xFFFFFFFF, children >> 32], 4), axis=1),
         ])
         assert len(lanes) >= 10 ** 4
-        got = doubles(outputs(lanes, 34))
         want = np.array([generator(w).random(34) for w in lanes])
-        assert np.array_equal(got, want)
+        # a mix kind draws 1 output, an automorphism or an exp map 3, a punctured
+        # first pass 5 and a Blaschke product of degree 16 34
+        for width in (1, 3, 5, 34):
+            assert np.array_equal(doubles(outputs(lanes, width)), want[:, :width])
 
     @pytest.mark.parametrize("lo, hi", [(0, 3), (1, 3), (1, 4), (1, 5), (1, 6), (1, 17),
                                         (1, 41), (1, 401), (0, 3 * 2 ** 30)])

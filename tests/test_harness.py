@@ -35,12 +35,15 @@ from conftest import replayed_campaign
 LN2 = math.log(2.0)
 
 
-def run_python(*args, timeout=None):
+def child_env() -> dict:
     # the child imports hypbound from where this process found it
     path = [str(Path(hypbound.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+
+
+def run_python(*args, timeout=None):
     return subprocess.run([sys.executable, *args],
-                          capture_output=True, text=True, timeout=timeout, env=env)
+                          capture_output=True, text=True, timeout=timeout, env=child_env())
 
 
 def run_cli(*args, timeout=None):
@@ -407,6 +410,20 @@ class TestCampaigns:
             assert [np.random.default_rng(c).random() for c in children] == first
 
 
+@pytest.mark.parametrize("n", [*range(1, 61), 99, 100, 101, 499, 500, 501, 1024, 1027, 2100,
+                               10 ** 5])
+def test_margin_stats_match_numpy(n):
+    # random margins across scales, and the same rounded so that ranks tie
+    rng = np.random.default_rng(n)
+    arrays = [rng.standard_normal(n) * 10.0 ** rng.integers(-12, 12) for _ in range(3)]
+    arrays += [np.round(x / np.abs(x).max(), 1) for x in arrays]
+    for margins in arrays:
+        stats = harness.margin_stats(np.sort(margins))
+        assert stats == {"min": margins.min(), "median": np.median(margins),
+                         "p99": np.percentile(margins, 99), "max": margins.max()}
+        assert all(type(v) is float for v in stats.values())
+
+
 class TestBlockSeeding:
     @staticmethod
     def assert_same_stream(seed, child):
@@ -629,6 +646,24 @@ class TestCli:
         spec = json.dumps({"variant": "punctured_power", "rotation": 0.0, "power": 4})
         out = run_cli("degree", spec)
         assert json.loads(out.stdout)["value"] == 4
+
+    @pytest.mark.parametrize("args", [
+        ("verify", "--theorem", "two_point", "--family", "realpart", "--samples", "3000"),
+        ("halfplane", "--n", ",".join(map(str, range(2, 3000)))),
+    ], ids=["verify", "halfplane"])
+    def test_closed_stdout_exits_quietly(self, args):
+        # each writes far more than a pipe holds, so the write after the close fails
+        child = subprocess.Popen([sys.executable, "-m", "hypbound", *args], env=child_env(),
+                                 stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        try:
+            assert child.stdout.readline().strip() in (b"{", b"[")
+            child.stdout.close()
+            assert child.stderr.read() == b""
+            assert child.wait(timeout=60) == 141
+        finally:
+            child.kill()
+            child.wait()
+            child.stderr.close()
 
     def test_verify_clean_exit(self, tmp_path):
         path = tmp_path / "report.json"

@@ -3,12 +3,14 @@ over arrays of lanes, one lane per sample, on a numpy port of PCG64.
 
 Each lane draws what its scalar runner draws, bit for bit, from the words
 ``seeding.block_states`` gives it, and no more: a rejection loop draws one
-attempt, and a second pass draws ``TRIES`` for the lanes whose first fails
-or is near its threshold; a ``mix`` lane draws only the map of its kind. A
-runner returns each lane's lhs and rhs and marks the lanes it cannot decide
-for certain: those past the draws it made (``TRIES`` attempts of a
-rejection loop, a Lemire rejection or a degree above ``MAX_PAD``) or near
-the threshold of a test or a refusal.
+attempt, a second pass draws ``TRIES`` for the lanes whose first fails or
+is near its threshold, and further passes draw four times as many, up to
+the attempt cap of the scalar loop, for the lanes still without a passing
+attempt and with no test near; a ``mix`` lane draws only the map of its
+kind. A runner returns each lane's lhs and rhs and marks the lanes it
+cannot decide for certain: those past the draws it made (the cap of a
+rejection loop, where the scalar runner fails, a Lemire rejection or a
+degree above ``MAX_PAD``) or near the threshold of a test or a refusal.
 ``harness.run_campaign`` re-runs those through the scalar runner.
 """
 
@@ -20,6 +22,7 @@ import math
 import numpy as np
 
 from .bounds import MIN_SEPARATION
+from .harness import PUNCTURED_ATTEMPTS, SEPARATION_ATTEMPTS
 from .models import BOUNDARY_MARGIN, TO_UPPER, Model, _adjugate, _mapply
 
 SLACK = 1e-9  # relative: a test this near its threshold is left to the scalar runner
@@ -117,11 +120,14 @@ def _refused(w, punctured: bool = False):
     return out | ~(r > BOUNDARY_MARGIN * (1.0 + SLACK)) if punctured else out
 
 
-def _first(passed, near, unsure):
+def _first(passed, near, unsure, short):
     """The first of each lane's attempts (axis 1) that passes its test; a
-    lane is unsure when none passes or a test up to that one is near."""
-    t = passed.argmax(axis=1)
-    unsure |= ~passed.any(axis=1) | (near & (np.arange(passed.shape[1]) <= t[:, None])).any(1)
+    lane is short when none passes, and unsure when a test up to that one,
+    or any test of a short lane, is near."""
+    none, t = ~passed.any(axis=1), passed.argmax(axis=1)
+    short |= none
+    read = np.arange(passed.shape[1]) <= np.where(none, passed.shape[1], t)[:, None]
+    unsure |= (near & read).any(axis=1)
     return t
 
 
@@ -208,36 +214,43 @@ def _disc_images(cfg, words, points, unsure):
     return images
 
 
-def _separated(points, other, min_sep: float, unsure):
+def _separated(points, other, min_sep: float, unsure, short):
     """``harness._separated`` over the attempts (axis 1): the index of the
     first at least min_sep from ``other``."""
     _flag(unsure, _refused(points))
     d = _dist(points, other, unsure)
-    return _first(d >= min_sep, _near(d, min_sep, _error(points, other)), unsure)
+    return _first(d >= min_sep, _near(d, min_sep, _error(points, other)), unsure, short)
 
 
-def _retried(draw, unsure, *lanes):
-    """``draw(tries, unsure, *lanes)``, a sampler whose rejection loops draw
-    ``tries`` attempts, over the rows of ``lanes``: one attempt on every lane,
-    then TRIES on those whose first attempt fails or is near a threshold."""
-    retry = np.zeros_like(unsure)
-    got = draw(1, retry, *lanes)
-    if retry.any():
-        flags = np.zeros(retry.sum(), dtype=bool)
-        for x, again in zip(got, draw(TRIES, flags, *(rows[retry] for rows in lanes))):
-            x[retry] = again
-        unsure[retry] |= flags
+def _retried(draw, cap: int, unsure, *lanes):
+    """``draw(tries, unsure, short, *lanes)``, a sampler whose rejection loops
+    draw ``tries`` attempts each, over the rows of ``lanes``: one attempt on
+    every lane, then TRIES on those whose first attempt fails or is near a
+    threshold, then four times as many, up to the cap of the scalar loops,
+    on those still short of a passing attempt and neither near nor refused.
+    A lane short at the cap fails in the scalar runner as well."""
+    flags, short = np.zeros_like(unsure), np.zeros_like(unsure)
+    got = draw(1, flags, short, *lanes)
+    again, tries = flags | short, TRIES
+    while again.any():
+        rows = np.flatnonzero(again)
+        f, s = np.zeros(len(rows), dtype=bool), np.zeros(len(rows), dtype=bool)
+        for x, redrawn in zip(got, draw(tries, f, s, *(lane[rows] for lane in lanes))):
+            x[rows] = redrawn
+        flags[rows], short[rows] = f, s
+        again, tries = short & ~flags & (tries < cap), min(4 * tries, cap)
+    unsure |= flags | short
     return got
 
 
-def _disc_sample(cfg, tries, unsure, words):
+def _disc_sample(cfg, tries, unsure, short, words):
     """The disc runners' points, from stream 1: one, then another separated
     from it, then z."""
     half = cfg.max_radius / 2.0
     u = doubles(outputs(words, 4 + 2 * tries))
     first = _sample_disc_points(half, u[:, :2])
     attempts = _sample_disc_points(half, u[:, 2:2 + 2 * tries])
-    t = _separated(attempts, first, cfg.min_sep, unsure)
+    t = _separated(attempts, first, cfg.min_sep, unsure, short)
     return first, _take(attempts, t), _sample_disc_points(half, _take(u, 2 * t[:, None] + [4, 5]))
 
 
@@ -254,7 +267,8 @@ def _distances(unsure, points, images, first: list, second: list) -> list:
 
 
 def _two_point(cfg, words, unsure):
-    a, b, z = _retried(functools.partial(_disc_sample, cfg), unsure, words[:, 1])
+    a, b, z = _retried(functools.partial(_disc_sample, cfg), SEPARATION_ATTEMPTS, unsure,
+                       words[:, 1])
     points = np.concatenate([a, b, z], axis=1)
     images = _disc_images(cfg, words, points, unsure)
     # d(a, b), d(z, a), d(b, z), then d(f(z), z), d(f(a), a), d(f(b), b)
@@ -266,7 +280,8 @@ def _two_point(cfg, words, unsure):
 
 
 def _fixed_point(cfg, words, unsure):
-    b, a, z = _retried(functools.partial(_disc_sample, cfg), unsure, words[:, 1])
+    b, a, z = _retried(functools.partial(_disc_sample, cfg), SEPARATION_ATTEMPTS, unsure,
+                       words[:, 1])
     # w B(w), conjugated by the automorphism sigma exchanging 0 and b
     deg = max(1, cfg.params["max_degree"] - 1)
     rotation, zeros, mask = _blaschke(words[:, 0], deg, unsure)
@@ -304,7 +319,7 @@ def _punctured_dist(w, v):
     return np.where(lower <= upper, lower, upper)
 
 
-def _punctured_points(radius, tries, unsure, words, spin, power, decay):
+def _punctured_points(radius, tries, unsure, short, words, spin, power, decay):
     """From stream 1: h's rotation, then a's attempts two doubles each, then z's two each."""
 
     def f(w):
@@ -316,7 +331,8 @@ def _punctured_points(radius, tries, unsure, words, spin, power, decay):
                 * np.exp(1j * (math.tau * u[:, 2:2 + 2 * tries:2])))
     r = np.abs(f(attempts))
     passed = (r > BOUNDARY_MARGIN) & (r < 1.0 - BOUNDARY_MARGIN)
-    t = _first(passed, _near(r, BOUNDARY_MARGIN) | _near(r, 1.0 - BOUNDARY_MARGIN), unsure)
+    near = _near(r, BOUNDARY_MARGIN) | _near(r, 1.0 - BOUNDARY_MARGIN)
+    t = _first(passed, near, unsure, short)
     a = _take(attempts, t)
     lift = _principal(a)
     w = _sample_disc_points(radius, _take(u, 2 * t[:, None] + 3 + np.arange(2 * tries)))
@@ -325,7 +341,7 @@ def _punctured_points(radius, tries, unsure, words, spin, power, decay):
     r, image = np.abs(attempts), np.abs(f(attempts))
     passed = (1e-6 < r) & (r < 1.0 - 1e-8) & (image > 1e-12)
     near = _near(r, 1e-6) | _near(r, 1.0 - 1e-8) | _near(image, 1e-12)
-    return u[:, :1], a, _take(attempts, _first(passed, near, unsure))
+    return u[:, :1], a, _take(attempts, _first(passed, near, unsure, short))
 
 
 def _punctured(cfg, words, unsure):
@@ -335,7 +351,7 @@ def _punctured(cfg, words, unsure):
     u = doubles(out)
     spin, decay = np.exp(1j * (math.tau * u[:, :1])), cfg.params["max_decay"] * u[:, 1:]
     turn, a, z = _retried(functools.partial(_punctured_points, min(4.0, cfg.max_radius)),
-                          unsure, words[:, 1], spin, power[:, None], decay)
+                          PUNCTURED_ATTEMPTS, unsure, words[:, 1], spin, power[:, None], decay)
     points = np.concatenate([a, z], axis=1)
     raised = points ** power[:, None]  # once for f and h
     fa, fz = (spin * raised * np.exp(decay * (points - 1.0))).T[:, :, None]

@@ -48,6 +48,11 @@ from .report import DEFAULT_TOLERANCE, BoundReport, dumps, fmt17
 
 SCHEMA_VERSION = 1
 
+# attempts of a rejection loop before its sample fails: _separated's, and the
+# punctured base and nearby points'. The batch draws no attempt past them
+SEPARATION_ATTEMPTS = 200
+PUNCTURED_ATTEMPTS = 500
+
 _TWO_POINT = {"two_point", "two_point_sharp"}
 
 # family -> (the theorems it drives, the family_params it takes and their defaults,
@@ -160,7 +165,7 @@ def _sample_disc_point(uniform: Callable[..., float], radius: float) -> ModelPoi
 
 
 def _separated(draw: Callable[[], ModelPoint], other: ModelPoint, min_sep: float) -> ModelPoint:
-    for _ in range(200):
+    for _ in range(SEPARATION_ATTEMPTS):
         p = draw()
         if dist(p, other) >= min_sep:
             return p
@@ -229,7 +234,7 @@ def _punctured_base_point(uniform: Callable[..., float], f: HoloMap) -> ModelPoi
     # A base point is redrawn exactly when ModelPoint refuses f(a) (high
     # powers crush small moduli); the reference e^{it} z^m has
     # |h(a)| >= |f(a)|, so h(a) needs no check.
-    for _ in range(500):
+    for _ in range(PUNCTURED_ATTEMPTS):
         r = math.exp(uniform(math.log(0.05), math.log(0.95)))
         a = r * cmath.exp(1j * uniform(0.0, math.tau))
         try:
@@ -246,7 +251,7 @@ def _punctured_nearby_point(uniform: Callable[..., float], a: ModelPoint,
     # lift of a, then project; rejection keeps the point and its image under
     # the drawn map representable (high powers crush small moduli)
     lift = principal_lift(a).value
-    for _ in range(500):
+    for _ in range(PUNCTURED_ATTEMPTS):
         r = uniform(0.0, radius)
         w = math.tanh(r / 2.0) * cmath.exp(1j * uniform(0.0, math.tau))
         z = _cover(lift.real + lift.imag * _mapply(TO_UPPER[_DISC], w))

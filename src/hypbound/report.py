@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _quote
 
@@ -17,28 +16,68 @@ def fmt17(x: float) -> str:
 
 def dumps(obj) -> str:
     """``json.dumps(obj, sort_keys=True, indent=2)``, byte for byte. json's
-    indenting encoder is pure Python: strings, ints, finite floats, lists and
-    str-keyed dicts are written here, any other value by json.dumps."""
+    indenting encoder is pure Python, and builds itself anew on every call:
+    lists, tuples and str-keyed dicts, empty ones too, are written here, each
+    str, int, finite float, bool or None in them inline in the container's
+    loop; any other value, such as a non-finite float or a dict with a key
+    that is not a str, and a value json refuses, by json.dumps."""
     return _dumps(obj, "\n")
 
 
 def _dumps(obj, nl: str) -> str:
+    # each leaf json writes as its repr, or as its quoted str, is written in its
+    # container's loop, without a call of _dumps; v - v is NaN for inf and NaN.
+    # A container's parts are dropped before their join is copied between its
+    # brackets: a report of many violations runs to megabytes
     kind = type(obj)
-    if kind is str:
-        return _quote(obj)
-    if kind is int or kind is float and math.isfinite(obj):
-        return repr(obj)
-    if kind is bool:
-        return "true" if obj else "false"
-    inner = nl + "  "
-    if obj and (kind is list or kind is tuple):
-        return "[" + inner + ("," + inner).join([_dumps(v, inner) for v in obj]) + nl + "]"
-    if obj and kind is dict:
+    if kind is dict:
+        if not obj:
+            return "{}"
+        inner = nl + "  "
+        parts = []
         try:  # _quote refuses a key that is not a str, and sorted keys of mixed types
-            return "{" + inner + ("," + inner).join(
-                [_quote(k) + ": " + _dumps(v, inner) for k, v in sorted(obj.items())]) + nl + "}"
+            for k in sorted(obj):
+                v = obj[k]
+                t = type(v)
+                if t is str:
+                    parts.append(f"{_quote(k)}: {_quote(v)}")
+                elif t is int or t is float and v - v == 0.0:
+                    parts.append(f"{_quote(k)}: {v!r}")
+                elif t is bool:
+                    parts.append(_quote(k) + (": true" if v else ": false"))
+                elif v is None:
+                    parts.append(_quote(k) + ": null")
+                else:
+                    parts.append(f"{_quote(k)}: {_dumps(v, inner)}")
         except TypeError:
-            pass
+            return _json(obj, nl)
+        body = ("," + inner).join(parts)
+        del parts
+        return f"{{{inner}{body}{nl}}}"
+    if kind is list or kind is tuple:
+        if not obj:
+            return "[]"
+        inner = nl + "  "
+        parts = []
+        for v in obj:
+            t = type(v)
+            if t is str:
+                parts.append(_quote(v))
+            elif t is int or t is float and v - v == 0.0:
+                parts.append(f"{v!r}")
+            elif t is bool:
+                parts.append("true" if v else "false")
+            elif v is None:
+                parts.append("null")
+            else:
+                parts.append(_dumps(v, inner))
+        body = ("," + inner).join(parts)
+        del parts
+        return f"[{inner}{body}{nl}]"
+    return _json(obj, nl)
+
+
+def _json(obj, nl: str) -> str:
     # json escapes a newline in a string, so each one left starts a line to indent
     return json.dumps(obj, sort_keys=True, indent=2).replace("\n", nl)
 

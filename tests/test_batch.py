@@ -4,6 +4,7 @@ import pytest
 from hypbound import (CampaignConfig, ModelPoint, batch as batch_module, dist, harness,
                       run_campaign, run_sample, seeding)
 from hypbound.batch import TRIES, doubles, integers, outputs, run_block
+from hypbound.errors import HypboundError
 from hypbound.seeding import BLOCK, ChildSeed, SampleSeeds, _seed_sequence, block_states
 
 from conftest import replayed_campaign
@@ -158,10 +159,11 @@ def test_batch_agrees_with_run_sample(theorem, family, params):
 
 
 def test_undecided_lanes_are_nan():
-    # what run_campaign subtracts from an undecided lane is NaN, never inf - inf
-    cfg = CampaignConfig("punctured", "exp", BLOCK + 3, 9, family_params={"max_power": 150})
+    # what run_campaign subtracts from an undecided lane is NaN, never inf - inf;
+    # here the lanes of a degree past MAX_PAD
+    cfg = CampaignConfig("two_point", "blaschke", BLOCK + 3, 2, family_params={"max_degree": 40})
     lhs, rhs, err, unsure = batch(cfg)
-    assert unsure.sum() == 152
+    assert unsure.sum() == 212
     for x in (lhs, rhs, err):
         assert np.isnan(x[unsure]).all() and np.isfinite(x[~unsure]).all()
 
@@ -173,13 +175,13 @@ def retried_lanes(cfg, monkeypatch) -> list:
     index = {bytes(row[1]): i for i, row in enumerate(words)}
     retried, real = [], batch_module._retried
 
-    def spy(draw, unsure, *lanes):
-        def recorded(tries, flags, *rows):
-            if tries > 1:
+    def spy(draw, cap, unsure, *lanes):
+        def recorded(tries, flags, short, *rows):
+            if tries == TRIES:
                 retried.extend(index[bytes(row)] for row in rows[0])
-            return draw(tries, flags, *rows)
+            return draw(tries, flags, short, *rows)
 
-        return real(recorded, unsure, *lanes)
+        return real(recorded, cap, unsure, *lanes)
 
     with monkeypatch.context() as patch:
         patch.setattr(batch_module, "_retried", spy)
@@ -220,15 +222,16 @@ def test_only_lanes_past_their_first_attempt_are_retried(theorem, family, params
 
 
 @pytest.mark.parametrize("theorem, family, seed, params, settings, most", [
-    ("punctured", "exp", 5, {"max_power": 40}, {}, 5),
-    ("punctured", "exp", 9, {"max_power": 150}, {}, 160),
-    ("two_point", "mix", 3, {}, {"min_sep": 2.5}, 20),
+    ("punctured", "exp", 5, {"max_power": 40}, {}, 0),
+    ("punctured", "exp", 9, {"max_power": 150}, {}, 0),
+    ("two_point", "mix", 3, {}, {"min_sep": 2.5}, 0),
 ] + [(t, f, 9, p, {}, 0) for t, f, p in DEFAULTS])
 def test_undecided_lane_counts(theorem, family, seed, params, settings, most):
     # the lanes left to the scalar runner over a block and a bit; the first
-    # three were 121, 491 and 190 with 4 attempts drawn for every lane.
-    # fixing at max_radius 14.5 and Blaschke degrees past the padding are
-    # counted where their rescue is tested
+    # three were 121, 491 and 190 with 4 attempts drawn for every lane, and
+    # 2, 152 and 17 with no pass past TRIES attempts. fixing at max_radius
+    # 14.5 and Blaschke degrees past the padding are counted where their
+    # rescue is tested
     cfg = CampaignConfig(theorem, family, BLOCK + 3, seed, family_params=params, **settings)
     assert batch(cfg)[3].sum() <= most
 
@@ -284,8 +287,9 @@ def test_error_bound_far_out(theorem, family):
 
 
 def test_rejection_loop_past_the_drawn_attempts_is_rescued(monkeypatch):
-    # at min_sep 2.5 within radius 3, b often needs more attempts than the
-    # batch draws; harness.dist is called once per attempt
+    # at min_sep 2.5 within radius 3, b often needs more than the TRIES
+    # attempts of the first retry pass, and the passes after it draw them, up
+    # to the scalar cap; harness.dist is called once per attempt
     cfg = CampaignConfig("two_point", "mix", 300, 3, min_sep=2.5)
     *_, unsure = batch(cfg)
     attempts = []
@@ -298,9 +302,31 @@ def test_rejection_loop_past_the_drawn_attempts_is_rescued(monkeypatch):
         if len(attempts) > TRIES:
             long.append(i)
     monkeypatch.undo()
-    assert long and unsure[long].all()
+    assert long and not unsure.any()
     assert (run_campaign(cfg).to_json(include_timing=False)
             == replayed_campaign(cfg).to_json(include_timing=False))
+
+
+@pytest.mark.parametrize("cfg", [
+    CampaignConfig("two_point", "mix", 100, 3, min_sep=3.6),
+    CampaignConfig("punctured", "exp", 200, 1, family_params={"max_power": 400}),
+], ids=["separated", "punctured-base-point"])
+def test_rejection_loop_past_the_scalar_cap_fails_as_the_scalar_runner(cfg):
+    # the batch draws no attempt past the cap of a scalar loop: a lane whose
+    # loop needs more is left to the scalar runner, and the campaign fails
+    # with the error of the first such sample
+    *_, unsure = batch(cfg)
+    failed = {}
+    for i in range(cfg.samples):
+        try:
+            run_sample(cfg, i)
+        except HypboundError as exc:
+            failed[i] = exc
+    assert failed and unsure[list(failed)].all()
+    first = failed[min(failed)]
+    with pytest.raises(type(first)) as raised:
+        run_campaign(cfg)
+    assert str(raised.value) == str(first)
 
 
 def test_degree_past_the_padding_is_rescued():

@@ -2,12 +2,14 @@
 
 import json
 import math
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypbound import CampaignConfig, counterexample_demo, run_campaign, run_sample
+from hypbound import report as report_module
 from hypbound.report import dumps
 
 from test_bounds import _pinned_reports
@@ -50,6 +52,29 @@ def test_counterexample_demo_with_extras():
     report = counterexample_demo(pairs=50, seed=4)
     assert report.extras
     assert report.to_json() == reference(report.to_dict())
+
+
+def test_reports_are_written_without_json_dumps(monkeypatch):
+    # json.dumps builds its pure-Python indenting encoder anew on every call;
+    # every value a report holds, the empty violations list of a clean
+    # campaign too, is written by report.dumps itself
+    clean = run_campaign(CampaignConfig("punctured", "exp", 300, 3,
+                                        family_params={"max_power": 4, "max_decay": 2.0}))
+    violating = run_campaign(CampaignConfig("two_point", "realpart", 30, 3))
+    demo = counterexample_demo(pairs=50, seed=4)
+    assert clean.violations == [] and len(violating.violations) == 30
+    pinned = [r.for_sample(7, 2 ** 40).to_dict() for r in _pinned_reports().values()]
+    assert len(pinned) == 6
+    expected = ([reference(r.to_dict(timing)) for r in (clean, violating, demo)
+                 for timing in (True, False)] + [reference(d) for d in pinned])
+
+    def refused(*args, **kwargs):
+        raise AssertionError("json.dumps reached")
+
+    monkeypatch.setattr(report_module, "json", SimpleNamespace(dumps=refused))
+    written = ([r.to_json(timing) for r in (clean, violating, demo) for timing in (True, False)]
+               + [dumps(d) for d in pinned])
+    assert written == expected
 
 
 @pytest.mark.parametrize("obj", [

@@ -4,23 +4,25 @@ half-plane growth, counterexample, and convergence-transfer demos.
 Determinism contract: every sample is rebuilt from (seed, index) through a
 fixed seed-splitting rule, and reports aggregate in index order, so a
 campaign's output is byte-identical across re-runs and any sample replays
-through ``run_sample``. ``run_sample`` applies the rule through numpy itself
-and, with the per-theorem runners, is the scalar reference. A campaign runs
-its samples a block at a time through ``batch``, which draws what the runners
-draw, and re-runs through a runner each sample the batch cannot decide for
-certain and each that a reported statistic may read: a report's bytes are
-those of the runners.
+through ``run_sample``. The rule is ``derive_seeds``, through numpy itself;
+campaigns and ``run_sample`` read the same words a block of samples at a
+time from ``seeding.block_states``, and the per-theorem runners that take
+them are the scalar reference. A campaign runs its samples a block at a time
+through ``batch``, which draws what the runners draw, and re-runs through a
+runner each sample the batch cannot decide for certain and each that a
+reported statistic may read: a report's bytes are those of the runners.
 
 numpy loads where something is drawn or batched, not on import: in
 ``derive_seeds``, in ``holomaps.default_rng`` (the runners, ``sample_map`` and
-the demos) and in ``run_campaign``. Configs, checks, maps and distances never
-load it.
+the demos), in ``run_sample`` and in ``run_campaign``. Configs, checks, maps
+and distances never load it.
 """
 
 from __future__ import annotations
 
 import cmath
 import csv
+import functools
 import math
 import time
 from dataclasses import dataclass, field
@@ -90,10 +92,8 @@ class CampaignConfig:
             raise UsageError(f"family {self.family!r} takes no parameter {extra[0]!r}")
         for key in self.family_params:
             sampler_param(self.family_params, key)
-        if self.samples < 1:
-            raise UsageError("samples must be >= 1")
-        if self.seed < 0:
-            raise UsageError("seed must be a nonnegative integer")
+        _check_int("samples", self.samples, 1)
+        _check_int("seed", self.seed, 0)
         for key in ("min_sep", "max_radius", "tolerance"):
             value = getattr(self, key)
             if not 0.0 < value < math.inf:
@@ -138,6 +138,12 @@ class CampaignReport:
 
     def to_json(self, include_timing: bool = True) -> str:
         return dumps(self.to_dict(include_timing))
+
+
+def _check_int(key: str, value, least: int) -> None:
+    """Refuse ``value`` unless it is an int, not a bool, and at least ``least``."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise UsageError(f"malformed {key}={value!r}: must be an integer >= {least}")
 
 
 def derive_seeds(seed: int, index: int) -> list:
@@ -269,7 +275,8 @@ def _run_punctured(cfg: CampaignConfig, index: int, seeds) -> BoundReport:
     return check_punctured(f, h, a, z, cfg.tolerance)
 
 
-# runner(cfg, index, seeds): the report of sample index, drawn from derive_seeds or SampleSeeds
+# runner(cfg, index, seeds): the report of sample index, drawn from SampleSeeds,
+# or from derive_seeds, which seeds the same generators
 _RUNNERS: dict[str, Callable[..., BoundReport]] = {
     "two_point": _run_two_point,
     "two_point_sharp": _run_two_point,
@@ -286,10 +293,32 @@ def _run(cfg: CampaignConfig, index: int, seeds) -> BoundReport:
         raise type(exc)(f"sample {index} of seed {cfg.seed}: {exc}") from exc
 
 
+# seed blocks that run_sample keeps: replays mostly walk one block of one seed
+REPLAY_BLOCKS = 4
+
+
+@functools.lru_cache(maxsize=REPLAY_BLOCKS)
+def _block_words(seed: int, lo: int, streams: int):
+    """The read-only ``block_states`` words of the whole seeding block from
+    sample ``lo`` on; a pure function, so a cached block is the fresh one."""
+    from .seeding import BLOCK, block_states
+
+    return block_states(seed, lo, lo + BLOCK, streams)
+
+
+def _sample_seeds(cfg: CampaignConfig, index: int):
+    """The ``SampleSeeds`` of sample ``index``, read from its block's words."""
+    from .seeding import BLOCK, SampleSeeds
+
+    lo = index - index % BLOCK
+    return SampleSeeds(_block_words(cfg.seed, lo, _FAMILIES[cfg.family][2])[index - lo])
+
+
 def run_sample(cfg: CampaignConfig, index: int) -> BoundReport:
     """Rebuild and re-check the single sample ``index`` of a campaign; the
-    scalar reference for the batched ``run_campaign``."""
-    return _run(cfg, index, derive_seeds(cfg.seed, index))
+    scalar reference for the batched ``run_campaign``. ``index`` is an int >= 0."""
+    _check_int("index", index, 0)
+    return _run(cfg, index, _sample_seeds(cfg, index))
 
 
 def run_campaign(cfg: CampaignConfig) -> CampaignReport:
@@ -327,7 +356,7 @@ def run_campaign(cfg: CampaignConfig) -> CampaignReport:
         for j in np.flatnonzero(unsure | ~(margins[block] + cfg.tolerance > err)).tolist():
             rescue(lo + j, SampleSeeds(words[j]))
     for i in _rank_lanes(margins, errors):
-        rescue(i, SampleSeeds(words[i - lo]) if i >= lo else derive_seeds(cfg.seed, i))
+        rescue(i, SampleSeeds(words[i - lo]) if i >= lo else _sample_seeds(cfg, i))
     return CampaignReport(cfg, [violations[i] for i in sorted(violations)],
                           margin_stats(np.sort(margins)), time.perf_counter() - start)
 
@@ -355,7 +384,8 @@ def _rank_lanes(margins, errors) -> list:
 
     n = len(margins)
     p99 = math.floor((n - 1) * 0.99)  # np.percentile interpolates from here to the next
-    ranks = np.unique(np.minimum([0, (n - 1) // 2, n // 2, p99, p99 + 1, n - 1], n - 1))
+    # sorted in Python: np.unique would import numpy.ma into every campaign
+    ranks = sorted({min(r, n - 1) for r in (0, (n - 1) // 2, n // 2, p99, p99 + 1, n - 1)})
     lower, upper = margins - errors, margins + errors
     lo, hi = np.sort(lower)[ranks], np.sort(upper)[ranks]
     near = ((upper[:, None] >= lo) & (lower[:, None] <= hi)).any(axis=1)

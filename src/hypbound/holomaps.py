@@ -249,7 +249,9 @@ _PARAM_RANGES = {
     # a Blaschke sample draws up to 2 max_degree + 1 doubles and builds a zero per degree:
     # the bound keeps one sample to milliseconds
     "max_degree": (int, lambda v: 1 <= v <= 10 ** 4, "in [1, 10000]"),
-    "max_power": (int, lambda v: v >= 1, ">= 1"),
+    # numpy draws the power as an int64, which the bound keeps it within; base
+    # point redraws already run out at a few hundred (exp:m=400 in the README)
+    "max_power": (int, lambda v: 1 <= v <= 10 ** 4, "in [1, 10000]"),
     "max_decay": (float, lambda v: 0.0 <= v < math.inf, "finite and >= 0"),
     "eps": (float, lambda v: 0.0 < v < math.inf, "finite and > 0"),
 }

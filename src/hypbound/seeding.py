@@ -71,12 +71,14 @@ def block_states(seed: int, start: int, stop: int, streams: int) -> np.ndarray:
     of the first ``streams`` child seeds k, those a campaign's runners read,
     which numpy's PCG64 seeds ``default_rng(derive_seeds(seed, i)[k])`` from:
     a read-only array of shape (stop - start, streams, 4) indexed [i - start, k].
+    The samples must not straddle a multiple of 2^32, as no ``BLOCK`` does.
     A child seed below 2^32 is one SeedSequence word, which mixes as the
     pair (c, 0) does, so every child goes through as two words."""
     n = stop - start
-    index = np.arange(start, stop, dtype=np.uint64)
+    low, *high = _words(start)  # the samples share all but their lowest word
     entropy = [np.full(n, w, dtype=np.uint32) for w in _words(seed)]
-    entropy += [(index >> np.uint64(32 * j)) & _M32 for j in range(len(_words(start)))]
+    entropy += [np.arange(low, low + n, dtype=np.uint32)]
+    entropy += [np.full(n, w, dtype=np.uint32) for w in high]
     children = _seed_sequence(entropy, streams).reshape(-1)  # child k of i at k n + i - start
     words = _seed_sequence([children & _M32, children >> 32], 4).reshape(4, streams, n)
     words = np.ascontiguousarray(words.transpose(2, 1, 0))

@@ -121,11 +121,14 @@ def batch(cfg):
 @pytest.mark.parametrize("theorem, family, params", FAMILIES, ids=IDS)
 def test_runners_read_only_the_declared_streams(theorem, family, params):
     # a campaign hashes only the child seeds _FAMILIES declares; a runner
-    # reading another would raise IndexError from SampleSeeds
+    # reading another would raise IndexError from SampleSeeds. numpy's own
+    # route, derive_seeds, is the oracle
     cfg = CampaignConfig(theorem, family, 30, 4, family_params=params)
     words = block_states(cfg.seed, 0, cfg.samples, harness._FAMILIES[family][2])
     for i, row in enumerate(words):
-        assert harness._run(cfg, i, SampleSeeds(row)).to_dict() == run_sample(cfg, i).to_dict()
+        want = harness._run(cfg, i, harness.derive_seeds(cfg.seed, i)).to_dict()
+        assert harness._run(cfg, i, SampleSeeds(row)).to_dict() == want
+        assert run_sample(cfg, i).to_dict() == want
 
 
 @pytest.mark.parametrize("theorem, family, params", FAMILIES, ids=IDS)

@@ -115,6 +115,16 @@ class TestConfig:
                     with pytest.raises(UsageError, match=key):
                         CampaignConfig(theorem, family, 10, 1, **{key: value})
 
+    @pytest.mark.parametrize("key, value", [
+        ("samples", 10.0), ("samples", True), ("samples", "10"), ("samples", None),
+        ("seed", 1.5), ("seed", 1.0), ("seed", False), ("seed", np.int64(3)),
+    ])
+    def test_integer_fields_refuse_other_types(self, key, value):
+        # refused by the config, not deep in seeding or numpy
+        fields = {"samples": 10, "seed": 1, key: value}
+        with pytest.raises(UsageError, match=f"malformed {key}="):
+            CampaignConfig("two_point", "mix", **fields)
+
     @pytest.mark.parametrize("theorem, family, params", [
         ("fixed_point", "fixing", {"max_degree": 0}),
         ("fixed_point", "fixing", {"max_degree": -5}),
@@ -139,6 +149,16 @@ class TestConfig:
             with pytest.raises(UsageError, match="max_degree"):
                 hypbound.sample_map("blaschke", 0, {"max_degree": value})
         CampaignConfig("two_point", "blaschke", 10, 1, family_params={"max_degree": 10 ** 4})
+
+    def test_max_power_is_bounded(self):
+        # numpy draws the power as an int64: the bound is refused before any draw
+        for value in (10 ** 4 + 1, 10 ** 20):
+            with pytest.raises(UsageError, match="max_power"):
+                CampaignConfig("punctured", "exp", 10, 1, family_params={"max_power": value})
+            with pytest.raises(UsageError, match="max_power"):
+                hypbound.sample_map("punctured_exp", 0, {"max_power": value, "max_decay": 1.0})
+        for value in (4, 40, 150, 400, 10 ** 4):
+            CampaignConfig("punctured", "exp", 10, 1, family_params={"max_power": value})
 
     def test_family_param_range_edges_accepted(self):
         for theorem, family, params in (("fixed_point", "fixing", {"max_degree": 1}),
@@ -175,6 +195,21 @@ print(json.dumps([before, after_sample, sample, report]))
 """
 
 
+_NO_MASKED_ARRAYS = """
+import json, sys
+import numpy
+from hypbound import *
+
+preloaded = "numpy.ma" in sys.modules
+for theorem, family in (("two_point", "mix"), ("two_point", "realpart"),
+                        ("fixed_point", "fixing"), ("punctured", "exp")):
+    cfg = CampaignConfig(theorem, family, 1100, 5)
+    run_campaign(cfg)
+    run_sample(cfg, 3)
+print(json.dumps([preloaded, "numpy.ma" in sys.modules]))
+"""
+
+
 @pytest.fixture(scope="module")
 def numpy_free_start():
     out = run_python("-c", "import sys; print('numpy' in sys.modules)", timeout=60)
@@ -192,6 +227,15 @@ class TestStartup:
         cfg = CampaignConfig("punctured", "exp", 40, 7)
         assert sample == run_sample(cfg, 3).to_dict()
         assert report == run_campaign(cfg).to_dict(include_timing=False)
+
+    def test_campaigns_leave_numpy_ma_unloaded(self):
+        # np.unique, say, imports numpy.ma: a campaign and a replay need neither
+        out = run_python("-c", _NO_MASKED_ARRAYS, timeout=60)
+        assert out.returncode == 0, out.stderr
+        preloaded, loaded = json.loads(out.stdout)
+        if preloaded:
+            pytest.skip("import numpy loads numpy.ma on this numpy")
+        assert not loaded
 
     @pytest.mark.parametrize("argv, rc", [
         (["dist", "disc", "0", "0.5"], 0),
@@ -332,6 +376,44 @@ class TestCampaigns:
             assert first.witnesses["index"] == index
             assert first.witnesses["seed"] == cfg.seed
         assert report.margin_stats["min"] >= -1e-9
+
+    @pytest.mark.parametrize("index", [-1, -BLOCK, 1.5, 3.0, True, "3", None])
+    def test_run_sample_refuses_a_malformed_index(self, index):
+        # a negative index would wrap in a block's words
+        cfg = CampaignConfig("two_point", "mix", 10, 1)
+        with pytest.raises(UsageError, match=f"malformed index={index!r}"):
+            run_sample(cfg, index)
+
+    def test_replay_memo_is_bounded_and_changes_no_byte(self):
+        # a replay reads its block's words from a memo: cold or warm, the
+        # report is the one numpy's own derive_seeds route gives
+        cfg = CampaignConfig("two_point", "mix", 10, 6)
+        indices = (0, BLOCK - 1, BLOCK, 2 ** 32 + 5, 2 ** 64 + 1)
+        want = [harness._run(cfg, i, derive_seeds(cfg.seed, i)).to_dict() for i in indices]
+        cold = []
+        for i in indices:
+            harness._block_words.cache_clear()
+            cold.append(run_sample(cfg, i).to_dict())
+        warm = [run_sample(cfg, i).to_dict() for i in indices]
+        assert cold == warm == want
+        for seed in range(2 * harness.REPLAY_BLOCKS):
+            run_sample(CampaignConfig("punctured", "exp", 10, seed), 7)
+            assert harness._block_words.cache_info().currsize <= harness.REPLAY_BLOCKS
+        assert harness._block_words.cache_info().currsize == harness.REPLAY_BLOCKS
+
+    def test_campaigns_and_replays_derive_no_seeds(self, monkeypatch):
+        # the runners receive only SampleSeeds: the rank lanes of this
+        # campaign's first block (six) and every replay read block_states words
+        cfg = CampaignConfig("two_point", "mix", BLOCK + 76, 12)
+        want = run_campaign(cfg).to_json(include_timing=False)
+
+        def refuse(seed, index):
+            raise AssertionError("derive_seeds reached")
+
+        monkeypatch.setattr(harness, "derive_seeds", refuse)
+        harness._block_words.cache_clear()
+        assert run_campaign(cfg).to_json(include_timing=False) == want
+        assert replayed_campaign(cfg).to_json(include_timing=False) == want
 
     def test_violation_records_are_recheckable(self):
         cfg = CampaignConfig("two_point", "realpart", 20, 7)
@@ -837,6 +919,14 @@ class TestCli:
         assert out.stdout == ""
         assert out.stderr.splitlines() == [
             "error: malformed max_degree=100000000: must be in [1, 10000]"]
+
+    def test_huge_max_power_exits(self):
+        out = run_cli("verify", "--theorem", "punctured", "--family", "exp:m=99999999999999999999",
+                      "--samples", "2", timeout=30)
+        assert out.returncode == 2
+        assert out.stdout == ""
+        assert out.stderr.splitlines() == [
+            "error: malformed max_power=99999999999999999999: must be in [1, 10000]"]
 
     def test_unused_family_param_exits(self):
         out = run_cli("verify", "--theorem", "two_point", "--family", "automorphism:deg=3",

@@ -13,6 +13,8 @@ from typing import Optional
 from .covering import degree_contour
 from .errors import HypboundError, UsageError
 from .harness import (
+    DEFAULT_MAX_RADIUS,
+    DEFAULT_MIN_SEP,
     CampaignConfig,
     convergence_demo,
     counterexample_demo,
@@ -22,6 +24,7 @@ from .harness import (
 )
 from .holomaps import Composition, PuncturedExp, PuncturedPower, map_from_dict
 from .models import Model, ModelPoint, dist
+from .report import DEFAULT_TOLERANCE
 
 _MODEL_TOKENS = {
     "disc": Model.DISC, "d": Model.DISC,
@@ -224,9 +227,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "realpart | fixing[:deg=N] | exp[:m=N,c=X]")
     p.add_argument("--samples", type=int, default=1000)
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--min-sep", type=float, default=CampaignConfig.min_sep)
-    p.add_argument("--max-radius", type=float, default=CampaignConfig.max_radius)
-    p.add_argument("--tolerance", type=float, default=CampaignConfig.tolerance)
+    p.add_argument("--min-sep", type=float, default=DEFAULT_MIN_SEP)
+    p.add_argument("--max-radius", type=float, default=DEFAULT_MAX_RADIUS)
+    p.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
     p.add_argument("--out", default=None, help="write the JSON report here")
     p.set_defaults(func=_cmd_verify)
 

@@ -6,12 +6,11 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from .errors import DomainError, NumericalError, PreconditionError, ValidationError
 from .holomaps import HoloMap, declared_degree, reference_degree
-from .models import _PUNCTURED, _UPPER, ModelPoint, _dist_upper
+from .models import _PUNCTURED, _UPPER, Frozen, ModelPoint, _dist_upper
 
 
 def _cover(zeta: complex) -> complex:
@@ -56,19 +55,17 @@ def punctured_dist(z: ModelPoint, a: ModelPoint) -> float:
     return _nearest_deck(_principal_value(z.value), _principal_value(a.value))[0]
 
 
-@dataclass(frozen=True)
-class DegreeResult:
+class DegreeResult(Frozen):
     """Integer winding degree with the residual distance of the raw contour
     integral from that integer and the quadrature resolution used."""
 
-    value: int
-    residual: float
-    panels: int
+    __slots__ = __match_args__ = _fields = ("value", "residual", "panels")
 
-    def __post_init__(self) -> None:
-        if self.residual >= 1e-6:
+    def __init__(self, value: int, residual: float, panels: int) -> None:
+        if residual >= 1e-6:
             raise NumericalError(
-                f"contour integral residual {self.residual:.3e} does not certify an integer")
+                f"contour integral residual {residual:.3e} does not certify an integer")
+        self._init(value, residual, panels)
 
     def to_dict(self) -> dict:
         return {"value": self.value, "residual": self.residual, "panels": self.panels}
@@ -105,8 +102,7 @@ def degree_contour(f: HoloMap) -> DegreeResult:
     raise NumericalError("contour quadrature did not converge")
 
 
-@dataclass(frozen=True)
-class LiftedMap:
+class LiftedMap(Frozen):
     """A lift of a punctured-disc self-map to the upper half-plane: the
     map's closed-form lift, pinned by its value at an anchor point.
 
@@ -114,11 +110,12 @@ class LiftedMap:
     lift(zeta + 1) = lift(zeta) + degree.
     """
 
-    base_map: HoloMap
-    anchor: ModelPoint
-    anchor_value: complex
-    deck_offset: int
-    degree: int
+    __slots__ = __match_args__ = _fields = ("base_map", "anchor", "anchor_value", "deck_offset",
+                                            "degree")
+
+    def __init__(self, base_map: HoloMap, anchor: ModelPoint, anchor_value: complex,
+                 deck_offset: int, degree: int) -> None:
+        self._init(base_map, anchor, anchor_value, deck_offset, degree)
 
 
 def lift_map(f: HoloMap, anchor: ModelPoint, deck_offset: int = 0) -> LiftedMap:

@@ -21,12 +21,11 @@ and distances never load it.
 from __future__ import annotations
 
 import cmath
-import csv
 import functools
 import math
 import time
-from dataclasses import dataclass, field
 from itertools import chain
+from types import MappingProxyType
 from typing import Callable, Optional
 
 from .bounds import check_fixed_point, check_punctured, check_two_point, constant_two_point
@@ -45,7 +44,7 @@ from .holomaps import (
     sampler_param,
 )
 from .mobius import build_disc_automorphism
-from .models import _DISC, TO_UPPER, ModelPoint, _mapply, disc_radius_limit, dist
+from .models import _DISC, TO_UPPER, Frozen, ModelPoint, _mapply, disc_radius_limit, dist
 from .report import DEFAULT_TOLERANCE, BoundReport, dumps, fmt17
 
 SCHEMA_VERSION = 1
@@ -69,59 +68,73 @@ _FAMILIES = {
 }
 
 
-@dataclass(frozen=True)
-class CampaignConfig:
-    theorem: str
-    family: str
-    samples: int
-    seed: int
-    family_params: dict = field(default_factory=dict)
-    min_sep: float = 0.1
-    max_radius: float = 6.0
-    tolerance: float = DEFAULT_TOLERANCE
+# the defaults of CampaignConfig, which the CLI's options share
+DEFAULT_MIN_SEP = 0.1
+DEFAULT_MAX_RADIUS = 6.0
 
-    def __post_init__(self) -> None:
-        if self.theorem not in _RUNNERS:
-            raise UsageError(f"unknown theorem {self.theorem!r}")
-        theorems, params, _ = _FAMILIES.get(self.family, (set(), {}, 0))
-        if self.theorem not in theorems:
-            raise UsageError(
-                f"family {self.family!r} cannot drive theorem {self.theorem!r}")
-        extra = sorted(set(self.family_params).difference(params))
+# realpart's base points are uniform in (-REAL_BASE, REAL_BASE)
+REAL_BASE = 0.9
+
+
+class CampaignConfig(Frozen):
+    """A campaign: the theorem, the family, how many samples of which seed,
+    and the sampling limits, each validated on construction. ``params`` is
+    the family's parameters, those given else its defaults, as the samplers'
+    types."""
+
+    __match_args__ = _fields = ("theorem", "family", "samples", "seed", "family_params",
+                                "min_sep", "max_radius", "tolerance")
+    __slots__ = (*__match_args__, "params")
+
+    def __init__(self, theorem: str, family: str, samples: int, seed: int,
+                 family_params: Optional[dict] = None, min_sep: float = DEFAULT_MIN_SEP,
+                 max_radius: float = DEFAULT_MAX_RADIUS,
+                 tolerance: float = DEFAULT_TOLERANCE) -> None:
+        # a copy: a caller's later edit reaches neither the report nor the draws
+        family_params = {} if family_params is None else dict(family_params)
+        if theorem not in _RUNNERS:
+            raise UsageError(f"unknown theorem {theorem!r}")
+        theorems, defaults, _ = _FAMILIES.get(family, (set(), {}, 0))
+        if theorem not in theorems:
+            raise UsageError(f"family {family!r} cannot drive theorem {theorem!r}")
+        extra = sorted(set(family_params).difference(defaults))
         if extra:
-            raise UsageError(f"family {self.family!r} takes no parameter {extra[0]!r}")
-        for key in self.family_params:
-            sampler_param(self.family_params, key)
-        _check_int("samples", self.samples, 1)
-        _check_int("seed", self.seed, 0)
-        for key in ("min_sep", "max_radius", "tolerance"):
-            value = getattr(self, key)
+            raise UsageError(f"family {family!r} takes no parameter {extra[0]!r}")
+        given = {key: sampler_param(family_params, key) for key in family_params}
+        _check_int("samples", samples, 1)
+        _check_int("seed", seed, 0)
+        for key, value in (("min_sep", min_sep), ("max_radius", max_radius),
+                           ("tolerance", tolerance)):
             if not 0.0 < value < math.inf:
                 raise UsageError(f"malformed {key}={value!r}: must be finite and > 0")
-        # the punctured sampler caps its radius at 4 and measures no disc distance
-        limit = disc_radius_limit(self.tolerance)
-        if self.theorem != "punctured" and self.max_radius > limit:
-            raise UsageError(
-                f"max_radius {self.max_radius:g} is above {limit:.4g}, beyond which disc "
-                f"distances may err by more than the tolerance {self.tolerance:g}")
-
-    @property
-    def params(self) -> dict:
-        """The family's parameters: those given, else its defaults."""
-        given = {**_FAMILIES[self.family][1], **self.family_params}
-        return {key: sampler_param(given, key) for key in given}
+        # the punctured sampler caps its radius at 4, measures no disc distance
+        # and draws no separated pair
+        if theorem != "punctured":
+            limit = disc_radius_limit(tolerance)
+            if max_radius > limit:
+                raise UsageError(
+                    f"max_radius {max_radius:g} is above {limit:.4g}, beyond which disc "
+                    f"distances may err by more than the tolerance {tolerance:g}")
+            # the farthest a sampled point can lie from a first point at the origin
+            reach = 2.0 * math.atanh(REAL_BASE) if family == "realpart" else max_radius / 2.0
+            if min_sep > reach:
+                raise UsageError(f"malformed min_sep={min_sep!r}: must be at most {reach!r}")
+        self._init(theorem, family, samples, seed, family_params, min_sep, max_radius, tolerance)
+        # read-only: no caller's edit reaches the config
+        object.__setattr__(self, "params", MappingProxyType({**defaults, **given}))
 
     def to_dict(self) -> dict:
-        return {**vars(self), "family_params": dict(sorted(self.family_params.items()))}
+        return {**{name: getattr(self, name) for name in self._fields},
+                "family_params": dict(sorted(self.family_params.items()))}
 
 
-@dataclass(frozen=True)
-class CampaignReport:
-    config: CampaignConfig
-    violations: list
-    margin_stats: dict
-    wall_time_s: float
-    extras: Optional[dict] = None
+class CampaignReport(Frozen):
+    __slots__ = __match_args__ = _fields = ("config", "violations", "margin_stats",
+                                            "wall_time_s", "extras")
+
+    def __init__(self, config: CampaignConfig, violations: list, margin_stats: dict,
+                 wall_time_s: float, extras: Optional[dict] = None) -> None:
+        self._init(config, violations, margin_stats, wall_time_s, extras)
 
     def to_dict(self, include_timing: bool = True) -> dict:
         out = {
@@ -203,8 +216,8 @@ def _run_two_point(cfg: CampaignConfig, index: int, seeds) -> BoundReport:
     f = _draw_disc_map(cfg, seeds)
     if cfg.family == "realpart":
         # real base points are fixed by Re, so the right side collapses to 0
-        a = ModelPoint.disc(uniform(-0.9, 0.9))
-        b = _separated(lambda: ModelPoint.disc(uniform(-0.9, 0.9)), a, cfg.min_sep)
+        a = ModelPoint.disc(uniform(-REAL_BASE, REAL_BASE))
+        b = _separated(lambda: ModelPoint.disc(uniform(-REAL_BASE, REAL_BASE)), a, cfg.min_sep)
         for _ in range(200):
             z = _sample_disc_point(uniform, half)
             if abs(z.value.imag) >= 0.1:
@@ -509,6 +522,8 @@ def convergence_demo(budget: str, z: ModelPoint, rows: int = 20, seed: int = 0) 
 
 def write_rows_csv(rows: list, path: str) -> None:
     """Write a list of uniform dict rows as CSV; floats keep 17 digits."""
+    import csv  # here, not on import: only the CLI's CSV tables use it
+
     if not rows:
         raise UsageError("nothing to write")
     with open(path, "w", newline="") as fh:

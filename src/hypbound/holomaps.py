@@ -6,12 +6,11 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import DomainError, PreconditionError, UsageError, ValidationError
 from .mobius import HoloMap, Mobius, apply, build_disc_automorphism
-from .models import _PUNCTURED, Model, ModelPoint
+from .models import _PUNCTURED, Frozen, Model, ModelPoint
 
 
 evaluate = apply  # a self-map is evaluated with one image check
@@ -22,23 +21,22 @@ def _finite_rotation(rotation: float) -> None:
         raise ValidationError(f"rotation must be finite, not {rotation!r}")
 
 
-@dataclass(frozen=True)
-class BlaschkeProduct(HoloMap):
+class BlaschkeProduct(HoloMap, Frozen):
     """f(w) = e^{i rotation} * prod (w - z_k)/(1 - conj(z_k) w), zeros in the disc."""
 
-    rotation: float
-    zeros: tuple = ()
-    model: Model = field(default=Model.DISC, init=False)
+    __slots__ = __match_args__ = ("rotation", "zeros")
+    _fields = (*__slots__, "model")
+    model = Model.DISC
 
-    def __post_init__(self) -> None:
-        _finite_rotation(self.rotation)
-        zeros = tuple(complex(z) for z in self.zeros)
+    def __init__(self, rotation: float, zeros: tuple = ()) -> None:
+        _finite_rotation(rotation)
+        zeros = tuple(complex(z) for z in zeros)
         if not zeros:
             raise ValidationError("a Blaschke product needs at least one zero")
         for z in zeros:
             if not abs(z) < 1.0 - 1e-12:
                 raise ValidationError(f"zero {z!r} is not interior to the disc")
-        object.__setattr__(self, "zeros", zeros)
+        self._init(rotation, zeros)
 
     def value_at(self, z: complex) -> complex:
         w = cmath.exp(1j * self.rotation)
@@ -63,16 +61,17 @@ class BlaschkeProduct(HoloMap):
                 "zeros": [[z.real, z.imag] for z in self.zeros]}
 
 
-@dataclass(frozen=True)
-class HalfPlaneTranslate(HoloMap):
+class HalfPlaneTranslate(HoloMap, Frozen):
     """w -> w + offset on the right half-plane, offset finite and >= 0."""
 
-    offset: float
-    model: Model = field(default=Model.RIGHT_HALF_PLANE, init=False)
+    __slots__ = __match_args__ = ("offset",)
+    _fields = (*__slots__, "model")
+    model = Model.RIGHT_HALF_PLANE
 
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.offset < math.inf:
-            raise ValidationError(f"offset must be finite and nonnegative, not {self.offset!r}")
+    def __init__(self, offset: float) -> None:
+        if not 0.0 <= offset < math.inf:
+            raise ValidationError(f"offset must be finite and nonnegative, not {offset!r}")
+        self._init(offset)
 
     def value_at(self, z: complex) -> complex:
         return z + self.offset
@@ -84,25 +83,25 @@ class HalfPlaneTranslate(HoloMap):
         return {"variant": "halfplane_translate", "offset": self.offset}
 
 
-@dataclass(frozen=True)
-class PuncturedExp(HoloMap):
+class PuncturedExp(HoloMap, Frozen):
     """z -> e^{i rotation} z^power e^{decay (z - 1)} with finite real decay >= 0.
 
     Zero-free on the punctured disc and a self-map there, since
     |f(z)| = |z|^power * e^{decay (Re z - 1)} < 1; the degree is ``power``.
     """
 
-    rotation: float
-    power: int
-    decay: float
-    model: Model = field(default=Model.PUNCTURED_DISC, init=False)
+    __slots__ = __match_args__ = ("rotation", "power", "decay")
+    _fields = (*__slots__, "model")
+    model = Model.PUNCTURED_DISC
 
-    def __post_init__(self) -> None:
-        _finite_rotation(self.rotation)
-        if self.power < 1:
+    def __init__(self, rotation: float, power: int, decay: float) -> None:
+        _finite_rotation(rotation)
+        if power < 1:
             raise ValidationError("power must be a positive integer")
-        if not 0.0 <= self.decay < math.inf:
-            raise ValidationError(f"decay must be finite and nonnegative, not {self.decay!r}")
+        if not 0.0 <= decay < math.inf:
+            raise ValidationError(f"decay must be finite and nonnegative, not {decay!r}")
+        # _init sets the slots __match_args__ names: PuncturedPower's leave out decay
+        self._init(rotation, power, decay)
 
     def value_at(self, z: complex) -> complex:
         return cmath.exp(1j * self.rotation) * z ** self.power * cmath.exp(self.decay * (z - 1.0))
@@ -128,13 +127,17 @@ class PuncturedExp(HoloMap):
                 "power": self.power, "decay": self.decay}
 
 
-@dataclass(frozen=True)
 class PuncturedPower(PuncturedExp):
     """z -> e^{i rotation} z^power, ``PuncturedExp`` without decay: a
     self-covering of the punctured disc, and its identity at (0.0, 1)."""
 
-    decay: float = field(default=0.0, init=False)
+    __slots__ = ()
+    __match_args__ = ("rotation", "power")
+    decay = 0.0  # shadows the inherited slot, which stays unset
     self_covering = True
+
+    def __init__(self, rotation: float, power: int) -> None:
+        super().__init__(rotation, power, 0.0)
 
     def value_at(self, z: complex) -> complex:
         # not the inherited e^{it} z^m e^{0 (z - 1)}: 2.5x the time, for h of every punctured sample
@@ -148,20 +151,19 @@ class PuncturedPower(PuncturedExp):
         return {"variant": "punctured_power", "rotation": self.rotation, "power": self.power}
 
 
-@dataclass(frozen=True)
-class Composition(HoloMap):
+class Composition(HoloMap, Frozen):
     """Pipeline composition: maps[0] is applied first."""
 
-    maps: tuple
+    __slots__ = __match_args__ = _fields = ("maps",)
 
-    def __post_init__(self) -> None:
-        maps = tuple(self.maps)
+    def __init__(self, maps: tuple) -> None:
+        maps = tuple(maps)
         if not maps:
             raise ValidationError("composition needs at least one map")
         for g in maps:
             if g.model is not maps[0].model:
                 raise ValidationError("composition mixes models")
-        object.__setattr__(self, "maps", maps)
+        self._init(maps)
 
     @property
     def model(self) -> Model:
@@ -200,12 +202,13 @@ class Composition(HoloMap):
         return {"variant": "composition", "maps": [g.to_dict() for g in self.maps]}
 
 
-@dataclass(frozen=True)
-class RealPartMap(HoloMap):
+class RealPartMap(HoloMap, Frozen):
     """w -> Re(w) on the disc: contracts the hyperbolic metric but is not
     holomorphic, so the distortion bounds need not hold for it."""
 
-    model: Model = field(default=Model.DISC, init=False)
+    __slots__ = ()
+    _fields = ("model",)
+    model = Model.DISC
     contraction_only = True
 
     def value_at(self, z: complex) -> complex:

@@ -5,12 +5,11 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 from .errors import DomainError, IntegrityError, NumericalError, ValidationError
-from .models import (_DISC, _PUNCTURED, _RIGHT, _UPPER, TO_UPPER, Model, ModelPoint, _adjugate,
-                     _mapply, convert, dist, model_excess)
+from .models import (_DISC, _PUNCTURED, _RIGHT, _UPPER, TO_UPPER, Frozen, Model, ModelPoint,
+                     _adjugate, _mapply, convert, dist, model_excess)
 
 # Boundary fixed point at infinity (never wrapped in a ModelPoint).
 INF = complex(math.inf, 0.0)
@@ -35,8 +34,10 @@ class HoloMap:
     round trip and, for punctured-disc maps of declared degree, a
     closed-form lift. ``contraction_only`` marks variants that contract the
     metric without being holomorphic; ``self_covering`` marks the maps
-    z -> e^{i t} z^m of the punctured disc."""
+    z -> e^{i t} z^m of the punctured disc. The package's maps are also
+    ``Frozen``; the base itself holds no state."""
 
+    __slots__ = ()
     model: Model
     contraction_only = False
     self_covering = False
@@ -68,30 +69,22 @@ class HoloMap:
         return apply(self, p)
 
 
-@dataclass(frozen=True)
-class Mobius(HoloMap):
+class Mobius(HoloMap, Frozen):
     """A fractional-linear self-map w -> (a*w + b)/(c*w + d) of its declared
     model, normalized to determinant 1 on construction."""
 
-    a: complex
-    b: complex
-    c: complex
-    d: complex
-    model: Model
+    __slots__ = __match_args__ = _fields = ("a", "b", "c", "d", "model")
 
-    def __post_init__(self) -> None:
-        a, b, c, d = (complex(self.a), complex(self.b), complex(self.c), complex(self.d))
-        for name, entry in zip("abcd", (a, b, c, d)):
-            if not cmath.isfinite(entry):
-                raise ValidationError(f"entry {name} must be finite, not {entry!r}")
-        det = a * d - b * c
+    def __init__(self, a: complex, b: complex, c: complex, d: complex, model: Model) -> None:
+        a, b, c, d, det = _finite_entries(a, b, c, d)
         if abs(det) < 1e-12:
             raise ValidationError("matrix is numerically singular")
         s = cmath.sqrt(det)
-        object.__setattr__(self, "a", a / s)
-        object.__setattr__(self, "b", b / s)
-        object.__setattr__(self, "c", c / s)
-        object.__setattr__(self, "d", d / s)
+        self._init(a / s, b / s, c / s, d / s, model)
+
+    def __reduce__(self):
+        # the entries have determinant 1 already: a second root of it would round them
+        return _unit_mobius, (type(self), *self.entries, self.model)
 
     @classmethod
     def identity(cls, model: Model) -> "Mobius":
@@ -136,6 +129,30 @@ class Mobius(HoloMap):
         return cls(a, b, c, dd, Model(d["model"]))
 
 
+def _finite_entries(a: complex, b: complex, c: complex, d: complex) -> tuple:
+    """The entries as complex numbers and their determinant, refused unless
+    every entry is finite."""
+    entries = (complex(a), complex(b), complex(c), complex(d))
+    for name, entry in zip("abcd", entries):
+        if not cmath.isfinite(entry):
+            raise ValidationError(f"entry {name} must be finite, not {entry!r}")
+    a, b, c, d = entries
+    return (*entries, a * d - b * c)
+
+
+def _unit_mobius(cls: type, a: complex, b: complex, c: complex, d: complex,
+                 model: Model) -> Mobius:
+    """The copy or unpickled form of a Mobius of class ``cls``: its normalized
+    entries, kept as they are once they are finite and their determinant is 1
+    up to the rounding of its products."""
+    a, b, c, d, det = _finite_entries(a, b, c, d)
+    if not abs(det - 1.0) <= 1e-12 * (abs(a * d) + abs(b * c)):
+        raise ValidationError(f"entries are not normalized: determinant {det!r}")
+    m = object.__new__(cls)
+    m._init(a, b, c, d, model)
+    return m
+
+
 def apply(m: HoloMap, z: ModelPoint) -> ModelPoint:
     """Apply a self-map to a point of its model (this is also
     ``holomaps.evaluate``). An image that ``ModelPoint`` refuses is an
@@ -151,8 +168,7 @@ def apply(m: HoloMap, z: ModelPoint) -> ModelPoint:
         raise
 
 
-@dataclass(frozen=True)
-class MobiusClass:
+class MobiusClass(Frozen):
     """Conjugacy classification of a model-preserving map.
 
     ``fixed_points`` may contain INF; for elliptic maps the interior fixed
@@ -160,10 +176,12 @@ class MobiusClass:
     hyperbolic map, ``translation_length`` its displacement along the axis.
     """
 
-    kind: str  # identity | elliptic | parabolic | hyperbolic
-    fixed_points: tuple
-    axis: Optional[tuple] = None
-    translation_length: Optional[float] = None
+    __slots__ = __match_args__ = _fields = ("kind", "fixed_points", "axis", "translation_length")
+
+    def __init__(self, kind: str, fixed_points: tuple, axis: Optional[tuple] = None,
+                 translation_length: Optional[float] = None) -> None:
+        # kind: identity | elliptic | parabolic | hyperbolic
+        self._init(kind, fixed_points, axis, translation_length)
 
 
 def _fixed_points(a: complex, b: complex, c: complex, d: complex) -> tuple:

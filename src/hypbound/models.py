@@ -10,7 +10,7 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import FrozenInstanceError
 from enum import Enum
 from typing import Callable
 
@@ -50,21 +50,26 @@ def model_excess(value: complex, model: Model) -> float:
     raise ValidationError(f"unknown model {model!r}")
 
 
-class ModelPoint:
-    """A point of the hyperbolic plane tagged with the model it lives in: an
-    immutable slots class, cheap to build, that compares, hashes and prints
-    as the frozen dataclass ``ModelPoint(value, model)``."""
+class Frozen:
+    """Base of the package's immutable slots classes, which compare, hash,
+    print and match as the frozen dataclasses they stand for. A subclass
+    names its constructor's arguments in ``__match_args__`` and the fields
+    that ``==``, ``hash`` and ``repr`` read, in order, in ``_fields``; its
+    ``__init__`` validates and sets each slot once, through ``_init``. A copy
+    or an unpickled object is rebuilt from those arguments through the
+    constructor, which validates it again."""
 
-    __slots__ = __match_args__ = ("value", "model")
+    __slots__ = ()
+    __match_args__: tuple = ()
+    _fields: tuple = ()
 
-    def __init__(self, value: complex, model: Model) -> None:
-        value = complex(value)
-        if not cmath.isfinite(value):
-            raise ValidationError(f"non-finite point {value!r}")
-        if model_excess(value, model) > -BOUNDARY_MARGIN:
-            raise ValidationError(f"{value!r} is not interior to the {model.value} model")
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "model", model)
+    def _init(self, *values) -> None:
+        """Set the slots named by ``__match_args__`` to ``values``, in order."""
+        for name, value in zip(self.__match_args__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
 
     def __setattr__(self, name: str, value) -> None:
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -74,17 +79,35 @@ class ModelPoint:
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return (self.value, self.model) == (other.value, other.model)
+            return self._values() == other._values()
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.value, self.model))
+        return hash(self._values())
 
     def __repr__(self) -> str:
-        return f"ModelPoint(value={self.value!r}, model={self.model!r})"
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
 
-    def __reduce__(self):  # copies and unpickles revalidate
-        return ModelPoint, (self.value, self.model)
+    def __reduce__(self):
+        return type(self), tuple([getattr(self, name) for name in self.__match_args__])
+
+
+class ModelPoint(Frozen):
+    """A point of the hyperbolic plane tagged with the model it lives in: an
+    immutable slots class, cheap to build, that compares, hashes and prints
+    as the frozen dataclass ``ModelPoint(value, model)``."""
+
+    __slots__ = __match_args__ = _fields = ("value", "model")
+
+    def __init__(self, value: complex, model: Model) -> None:
+        value = complex(value)
+        if not cmath.isfinite(value):
+            raise ValidationError(f"non-finite point {value!r}")
+        if model_excess(value, model) > -BOUNDARY_MARGIN:
+            raise ValidationError(f"{value!r} is not interior to the {model.value} model")
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "model", model)
 
     @classmethod
     def disc(cls, value: complex) -> "ModelPoint":
@@ -110,23 +133,20 @@ class ModelPoint:
         return cls(complex(d["re"], d["im"]), Model(d["model"]))
 
 
-@dataclass(frozen=True)
-class HalfDistancePair:
+class HalfDistancePair(Frozen):
     """sinh and cosh of half the hyperbolic distance between two disc points.
 
     Satisfies c**2 - s**2 = 1 up to relative 1e-12.
     """
 
-    s: float
-    c: float
+    __slots__ = __match_args__ = _fields = ("s", "c")
 
-    def __post_init__(self) -> None:
-        if self.s < 0.0 or self.c < 1.0 - 1e-12:
-            raise ValidationError(f"invalid half-distance pair ({self.s}, {self.c})")
-        if abs(self.c * self.c - self.s * self.s - 1.0) > 1e-12 * max(1.0, self.c * self.c):
-            raise ValidationError(
-                f"half-distance pair ({self.s}, {self.c}) violates c^2 - s^2 = 1"
-            )
+    def __init__(self, s: float, c: float) -> None:
+        if s < 0.0 or c < 1.0 - 1e-12:
+            raise ValidationError(f"invalid half-distance pair ({s}, {c})")
+        if abs(c * c - s * s - 1.0) > 1e-12 * max(1.0, c * c):
+            raise ValidationError(f"half-distance pair ({s}, {c}) violates c^2 - s^2 = 1")
+        self._init(s, c)
 
 
 def _dist_disc(u: complex, v: complex) -> float:

@@ -311,7 +311,8 @@ def test_rejection_loop_past_the_drawn_attempts_is_rescued(monkeypatch):
 
 
 @pytest.mark.parametrize("cfg", [
-    CampaignConfig("two_point", "mix", 100, 3, min_sep=3.6),
+    # min_sep at the largest value the config accepts: samples 53 and 59 run out
+    CampaignConfig("two_point", "mix", 100, 3, min_sep=3.0),
     CampaignConfig("punctured", "exp", 200, 1, family_params={"max_power": 400}),
 ], ids=["separated", "punctured-base-point"])
 def test_rejection_loop_past_the_scalar_cap_fails_as_the_scalar_runner(cfg):

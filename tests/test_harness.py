@@ -90,6 +90,16 @@ class TestConfig:
         assert [type(v) for v in cfg.params.values()] == [type(v) for v in params.values()]
         assert cfg.to_dict()["family_params"] == given
 
+    def test_edits_of_the_passed_params_reach_no_config(self):
+        # the report states the params its samples were drawn with
+        given = {"max_degree": 3}
+        cfg = CampaignConfig("two_point", "mix", 10, 1, family_params=given)
+        text, report = repr(cfg), cfg.to_dict()
+        given["max_degree"] = 9
+        assert cfg.params == {"max_degree": 3} and cfg.family_params == {"max_degree": 3}
+        assert repr(cfg) == text and cfg.to_dict() == report
+        assert cfg == CampaignConfig("two_point", "mix", 10, 1, family_params={"max_degree": 3})
+
     def test_max_radius_beyond_disc_accuracy_refused(self):
         for theorem, family in (("two_point", "mix"), ("two_point_sharp", "blaschke"),
                                 ("fixed_point", "fixing")):
@@ -210,6 +220,27 @@ print(json.dumps([preloaded, "numpy.ma" in sys.modules]))
 """
 
 
+_DATACLASS_CALLS = """
+import dataclasses, json, sys
+
+real, names = dataclasses.dataclass, []
+
+
+def counting(cls=None, /, **kwargs):
+    def wrap(c):
+        names.append(c.__qualname__)
+        return real(c, **kwargs)
+
+    return wrap if cls is None else wrap(cls)
+
+
+dataclasses.dataclass = counting
+import hypbound
+
+print(json.dumps([names, "csv" in sys.modules]))
+"""
+
+
 @pytest.fixture(scope="module")
 def numpy_free_start():
     out = run_python("-c", "import sys; print('numpy' in sys.modules)", timeout=60)
@@ -227,6 +258,13 @@ class TestStartup:
         cfg = CampaignConfig("punctured", "exp", 40, 7)
         assert sample == run_sample(cfg, 3).to_dict()
         assert report == run_campaign(cfg).to_dict(include_timing=False)
+
+    def test_import_builds_one_dataclass_and_no_csv(self):
+        # the maps, configs and results are slots classes: BoundReport alone is
+        # a dataclass, and csv loads with the first CSV table written
+        out = run_python("-c", _DATACLASS_CALLS, timeout=60)
+        assert out.returncode == 0, out.stderr
+        assert json.loads(out.stdout) == [["BoundReport"], False]
 
     def test_campaigns_leave_numpy_ma_unloaded(self):
         # np.unique, say, imports numpy.ma: a campaign and a replay need neither
@@ -426,9 +464,36 @@ class TestCampaigns:
             assert rebuilt.witnesses["f"] == record.witnesses["f"]
 
     def test_realpart_unattainable_separation(self):
-        # points of (-0.9, 0.9) lie within 4 atanh(0.9) < 6 of each other
-        with pytest.raises(UsageError):
-            run_campaign(CampaignConfig("two_point", "realpart", 3, 1, min_sep=10.0))
+        # realpart's base points lie in (-0.9, 0.9), within 2 atanh(0.9) of the origin
+        reach = 2.0 * math.atanh(0.9)
+        with pytest.raises(UsageError, match=rf"^malformed min_sep=10.0: must be at most {reach!r}$"):
+            CampaignConfig("two_point", "realpart", 3, 1, min_sep=10.0)
+        with pytest.raises(UsageError, match="malformed min_sep=2.95"):
+            CampaignConfig("two_point_sharp", "realpart", 3, 1, min_sep=2.95)
+        CampaignConfig("two_point", "realpart", 3, 1, min_sep=reach)
+
+    @pytest.mark.parametrize("theorem, family", [
+        ("two_point", "blaschke"), ("two_point_sharp", "automorphism"), ("two_point", "mix"),
+        ("fixed_point", "fixing"),
+    ])
+    def test_min_sep_beyond_half_the_radius_refused(self, theorem, family):
+        # a first point at the origin has no point of the sampling ball, of
+        # hyperbolic radius max_radius / 2, farther away than that
+        with pytest.raises(UsageError, match=r"^malformed min_sep=3.6: must be at most 3.0$"):
+            CampaignConfig(theorem, family, 10, 1, min_sep=3.6)
+        with pytest.raises(UsageError, match=r"^malformed min_sep=2.5: must be at most 2.0$"):
+            CampaignConfig(theorem, family, 10, 1, min_sep=2.5, max_radius=4.0)
+        CampaignConfig(theorem, family, 10, 1, min_sep=3.0)
+        CampaignConfig(theorem, family, 10, 1, min_sep=5.0, max_radius=10.0)
+
+    def test_punctured_min_sep_is_not_bounded(self):
+        # the punctured sampler draws no separated pair
+        CampaignConfig("punctured", "exp", 10, 1, min_sep=100.0)
+
+    def test_verify_refuses_unreachable_min_sep(self, capsys):
+        assert main(["verify", "--theorem", "two_point", "--family", "mix", "--samples", "100",
+                     "--seed", "3", "--min-sep", "3.6"]) == 2
+        assert capsys.readouterr().err == "error: malformed min_sep=3.6: must be at most 3.0\n"
 
     def test_failing_sample_is_named(self):
         # at m near 400 the base-point redraws can run out; the campaign
@@ -444,11 +509,12 @@ class TestCampaigns:
         assert str(info.value) == f"sample 120 of seed 42: {cause}"
         assert type(info.value.__cause__) is NumericalError
         assert str(info.value.__cause__) == cause
-        cfg = CampaignConfig("two_point", "realpart", 3, 1, min_sep=10.0)
-        with pytest.raises(UsageError, match="^sample 0 of seed 1: min_sep is unattainable"):
+        # min_sep below realpart's reach 2 atanh(0.9): samples 10 and 35 run out
+        cfg = CampaignConfig("two_point", "realpart", 40, 4, min_sep=2.9)
+        with pytest.raises(UsageError, match="^sample 10 of seed 4: min_sep is unattainable"):
             run_campaign(cfg)
-        with pytest.raises(UsageError, match="^sample 2 of seed 1: min_sep is unattainable"):
-            run_sample(cfg, 2)
+        with pytest.raises(UsageError, match="^sample 35 of seed 4: min_sep is unattainable"):
+            run_sample(cfg, 35)
 
     def test_punctured_campaign(self):
         cfg = CampaignConfig("punctured", "exp", 60, 3,

@@ -10,17 +10,31 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypbound import (
+    BlaschkeProduct,
+    CampaignConfig,
+    CampaignReport,
+    Composition,
+    DegreeResult,
     DomainError,
     HalfDistancePair,
+    HalfPlaneTranslate,
+    Mobius,
+    MobiusClass,
     Model,
     ModelPoint,
+    NumericalError,
+    PuncturedExp,
+    PuncturedPower,
+    RealPartMap,
     UnsupportedError,
     ValidationError,
+    build_disc_automorphism,
     convert,
     density_punctured,
     dist,
     dist_oracle,
     half_sinh_cosh,
+    lift_map,
 )
 
 from hypbound.models import disc_radius_limit
@@ -29,6 +43,83 @@ from conftest import disc_points, random_model_point, upper_points
 
 LN2 = math.log(2.0)
 LN3 = math.log(3.0)
+
+_POWER = "model=<Model.PUNCTURED_DISC: 'punctured_disc'>"
+_CONFIG = ("CampaignConfig(theorem='two_point', family='mix', samples=10, seed=1, "
+           "family_params={'max_degree': 3}, min_sep=0.1, max_radius=6.0, tolerance=1e-09)")
+
+
+def _config(seed=1):
+    return CampaignConfig("two_point", "mix", 10, seed, family_params={"max_degree": 3})
+
+
+# class -> (a factory of an instance, one of an unequal object, and the
+# instance's repr and the class's __match_args__ as the frozen dataclass the
+# class used to be gave them)
+FROZEN = {
+    "ModelPoint": (
+        lambda: ModelPoint.disc(0.25 - 0.1j), lambda: ModelPoint.punctured(0.25 - 0.1j),
+        "ModelPoint(value=(0.25-0.1j), model=<Model.DISC: 'disc'>)", ("value", "model")),
+    "HalfDistancePair": (
+        lambda: HalfDistancePair(0.75, 1.25), lambda: HalfDistancePair(0.0, 1.0),
+        "HalfDistancePair(s=0.75, c=1.25)", ("s", "c")),
+    "Mobius": (
+        # a second normalization would round these entries: a copy keeps them
+        lambda: build_disc_automorphism(ModelPoint.disc(0.5), 2.0),
+        lambda: build_disc_automorphism(ModelPoint.disc(0.5), 1.0),
+        "Mobius(a=(0.6238873634734919+0.971646999188197j), "
+        "b=(-0.31194368173674597-0.4858234995940985j), "
+        "c=(-0.3119436817367459+0.4858234995940985j), "
+        "d=(0.6238873634734918-0.971646999188197j), model=<Model.DISC: 'disc'>)",
+        ("a", "b", "c", "d", "model")),
+    "MobiusClass": (
+        lambda: MobiusClass("elliptic", (0.25j, 4j)), lambda: MobiusClass("parabolic", (0.25j,)),
+        "MobiusClass(kind='elliptic', fixed_points=(0.25j, 4j), axis=None, "
+        "translation_length=None)", ("kind", "fixed_points", "axis", "translation_length")),
+    "BlaschkeProduct": (
+        lambda: BlaschkeProduct(0.5, (0.25j, -0.5)), lambda: BlaschkeProduct(0.5, (0.25j,)),
+        "BlaschkeProduct(rotation=0.5, zeros=(0.25j, (-0.5+0j)), model=<Model.DISC: 'disc'>)",
+        ("rotation", "zeros")),
+    "HalfPlaneTranslate": (
+        lambda: HalfPlaneTranslate(0.25), lambda: HalfPlaneTranslate(0.5),
+        "HalfPlaneTranslate(offset=0.25, model=<Model.RIGHT_HALF_PLANE: 'right_half_plane'>)",
+        ("offset",)),
+    "PuncturedExp": (
+        lambda: PuncturedExp(0.5, 2, 1.5), lambda: PuncturedExp(0.5, 2, 0.0),
+        f"PuncturedExp(rotation=0.5, power=2, decay=1.5, {_POWER})",
+        ("rotation", "power", "decay")),
+    "PuncturedPower": (
+        lambda: PuncturedPower(0.0, 1), lambda: PuncturedPower(0.0, 2),
+        f"PuncturedPower(rotation=0.0, power=1, decay=0.0, {_POWER})", ("rotation", "power")),
+    "Composition": (
+        lambda: Composition((PuncturedPower(0.0, 2), PuncturedExp(0.5, 1, 0.25))),
+        lambda: Composition((PuncturedExp(0.5, 1, 0.25), PuncturedPower(0.0, 2))),
+        f"Composition(maps=(PuncturedPower(rotation=0.0, power=2, decay=0.0, {_POWER}), "
+        f"PuncturedExp(rotation=0.5, power=1, decay=0.25, {_POWER})))", ("maps",)),
+    "RealPartMap": (
+        RealPartMap, lambda: HalfPlaneTranslate(0.0),
+        "RealPartMap(model=<Model.DISC: 'disc'>)", ()),
+    "DegreeResult": (
+        lambda: DegreeResult(3, 1e-10, 128), lambda: DegreeResult(3, 1e-10, 256),
+        "DegreeResult(value=3, residual=1e-10, panels=128)", ("value", "residual", "panels")),
+    "LiftedMap": (
+        lambda: lift_map(PuncturedPower(0.5, 2), ModelPoint.upper(0.25 + 1j)),
+        lambda: lift_map(PuncturedPower(0.5, 2), ModelPoint.upper(0.25 + 1j), 1),
+        f"LiftedMap(base_map=PuncturedPower(rotation=0.5, power=2, decay=0.0, {_POWER}), "
+        "anchor=ModelPoint(value=(0.25+1j), model=<Model.UPPER_HALF_PLANE: 'upper_half_plane'>), "
+        "anchor_value=(-0.4204225284540524+2j), deck_offset=0, degree=2)",
+        ("base_map", "anchor", "anchor_value", "deck_offset", "degree")),
+    "CampaignConfig": (
+        _config, lambda: _config(seed=2), _CONFIG,
+        ("theorem", "family", "samples", "seed", "family_params", "min_sep", "max_radius",
+         "tolerance")),
+    "CampaignReport": (
+        lambda: CampaignReport(_config(), [], {"min": 0.5}, 0.25),
+        lambda: CampaignReport(_config(), [], {"min": 0.5}, 0.5),
+        f"CampaignReport(config={_CONFIG}, violations=[], margin_stats={{'min': 0.5}}, "
+        "wall_time_s=0.25, extras=None)",
+        ("config", "violations", "margin_stats", "wall_time_s", "extras")),
+}
 
 
 class TestModelPoint:
@@ -67,7 +158,8 @@ class TestModelPoint:
         p = ModelPoint.disc(0.25 - 0.1j)
         assert ModelPoint.from_dict(p.to_dict()) == p
 
-    # the literals below are those of the frozen dataclass ModelPoint used to be
+    # the literals below are those of the frozen dataclasses that ModelPoint and
+    # the FROZEN classes used to be
     @pytest.mark.parametrize("point, text", [
         (ModelPoint.disc(0.25 - 0.1j), "ModelPoint(value=(0.25-0.1j), model=<Model.DISC: 'disc'>)"),
         (ModelPoint.upper(2j),
@@ -76,6 +168,7 @@ class TestModelPoint:
          "ModelPoint(value=(1+0j), model=<Model.RIGHT_HALF_PLANE: 'right_half_plane'>)"),
         (ModelPoint.punctured(-0.5),
          "ModelPoint(value=(-0.5+0j), model=<Model.PUNCTURED_DISC: 'punctured_disc'>)"),
+        *((build(), text) for name, (build, _, text, _) in FROZEN.items() if name != "ModelPoint"),
     ])
     def test_repr(self, point, text):
         assert repr(point) == text
@@ -87,30 +180,79 @@ class TestModelPoint:
         assert p != (p.value, p.model) and p != 0.25 - 0.1j
         assert hash(p) == hash((0.25 - 0.1j, Model.DISC))
         assert len({p, ModelPoint.disc(0.25 - 0.1j), ModelPoint.punctured(0.25 - 0.1j)}) == 2
+        for name, (build, build_other, _, match_args) in FROZEN.items():
+            p, same, other = build(), build(), build_other()
+            assert p == same and not p != same and p is not same, name
+            assert p != other and not p == other, name
+            assert p != p._values() and p != None, name  # noqa: E711
+            assert type(p).__match_args__ == match_args, name
+            if name in ("CampaignConfig", "CampaignReport"):  # a dict field: unhashable
+                with pytest.raises(TypeError, match="unhashable type: 'dict'"):
+                    hash(p)
+                continue
+            assert hash(p) == hash(same) == hash(p._values()), name
+            assert len({p, same, other}) == 2, name
         # the value is converted to complex, as the dataclass did
         q = ModelPoint("0.5", Model.DISC)
         assert q == ModelPoint.disc(0.5) and type(q.value) is complex
+        assert hash(q) == hash((0.5 + 0j, Model.DISC))
         match q:
             case ModelPoint(value, model):
                 assert (value, model) == (0.5, Model.DISC)
 
     def test_immutable(self):
-        p = ModelPoint.disc(0.25 - 0.1j)
-        with pytest.raises(FrozenInstanceError, match="cannot assign to field 'value'"):
-            p.value = 0.1
-        with pytest.raises(FrozenInstanceError, match="cannot assign to field 'other'"):
-            p.other = 0.1
-        with pytest.raises(FrozenInstanceError, match="cannot delete field 'model'"):
-            del p.model
-        assert p == ModelPoint.disc(0.25 - 0.1j)
+        for build, *_ in FROZEN.values():
+            p = build()
+            for name in p._fields:
+                with pytest.raises(FrozenInstanceError, match=f"cannot assign to field '{name}'"):
+                    setattr(p, name, 0.1)
+                with pytest.raises(FrozenInstanceError, match=f"cannot delete field '{name}'"):
+                    delattr(p, name)
+            with pytest.raises(FrozenInstanceError, match="cannot assign to field 'other'"):
+                p.other = 0.1
+            assert p == build() and repr(p) == repr(build())
 
     @pytest.mark.parametrize("p", [ModelPoint.disc(0.25 - 0.1j), ModelPoint.upper(3 + 1e-14j),
-                                   ModelPoint.punctured(-0.5)])
+                                   ModelPoint.punctured(-0.5),
+                                   *(build() for name, (build, *_) in FROZEN.items()
+                                     if name != "ModelPoint")])
     def test_copies_and_pickles(self, p):
-        for q in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p)),
-                  ModelPoint.from_dict(p.to_dict())):
-            assert q == p and type(q) is ModelPoint and q.model is p.model
-            assert q.value == p.value and type(q.value) is complex
+        # each is rebuilt through its constructor: its repr shows each bit kept
+        rebuilt = (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p)))
+        if type(p) is ModelPoint:
+            rebuilt += (ModelPoint.from_dict(p.to_dict()),)
+        for q in rebuilt:
+            assert q == p and type(q) is type(p) and repr(q) == repr(p)
+            if type(p) is ModelPoint:
+                assert q.model is p.model and q.value == p.value and type(q.value) is complex
+
+    def test_rebuilt_copies_are_validated(self):
+        p = ModelPoint.disc(0.25 - 0.1j)
+        assert ModelPoint.from_dict(p.to_dict()) == p
+        assert type(ModelPoint.from_dict(p.to_dict()).value) is complex
+        # a copy runs the constructor's checks again
+        reduced = DegreeResult(3, 1e-10, 128).__reduce__()
+        assert reduced == (DegreeResult, (3, 1e-10, 128))
+        with pytest.raises(NumericalError, match="does not certify"):
+            reduced[0](3, 1e-3, 128)
+        # a Mobius copy keeps its entries once they are finite and normalized
+        rebuild, (cls, a, b, c, d, model) = build_disc_automorphism(
+            ModelPoint.disc(0.3j), 0.5).__reduce__()
+        assert cls is Mobius and rebuild(cls, a, b, c, d, model).entries == (a, b, c, d)
+        with pytest.raises(ValidationError, match="finite"):
+            rebuild(cls, math.nan, b, c, d, model)
+        for scaled in ((0.0, 0.0, c, d), (2 * a, 2 * b, 2 * c, 2 * d),
+                       (a * (1 + 1e-9), b, c, d)):
+            with pytest.raises(ValidationError, match="not normalized"):
+                rebuild(cls, *scaled, model)
+
+    def test_mobius_subclass_copies_keep_their_class(self):
+        class Unit(Mobius):
+            __slots__ = ()
+
+        m = Unit(2.0, 1.0, 1.0, 1.0, Model.UPPER_HALF_PLANE)
+        for q in (copy.copy(m), copy.deepcopy(m)):
+            assert type(q) is Unit and q == m and q.entries == m.entries
 
     @pytest.mark.parametrize("value, model, message", [
         (complex(math.nan, 0.0), Model.DISC, "non-finite point (nan+0j)"),

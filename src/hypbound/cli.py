@@ -4,27 +4,16 @@ campaigns, and the three demo tables."""
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from contextlib import contextmanager
 from typing import Optional
 
-from .covering import degree_contour
+# each command imports what it runs, so that one which draws nothing, such as
+# dist, compiles no map, bound, report or harness code and loads no numpy
+from .config import DEFAULT_MAX_RADIUS, DEFAULT_MIN_SEP, DEFAULT_TOLERANCE, CampaignConfig
 from .errors import HypboundError, UsageError
-from .harness import (
-    DEFAULT_MAX_RADIUS,
-    DEFAULT_MIN_SEP,
-    CampaignConfig,
-    convergence_demo,
-    counterexample_demo,
-    halfplane_growth,
-    run_campaign,
-    write_rows_csv,
-)
-from .holomaps import Composition, PuncturedExp, PuncturedPower, map_from_dict
 from .models import Model, ModelPoint, dist
-from .report import DEFAULT_TOLERANCE
 
 _MODEL_TOKENS = {
     "disc": Model.DISC, "d": Model.DISC,
@@ -83,6 +72,10 @@ def parse_map_spec(text: str):
     """A map spec is either the JSON serialization of a map or a shorthand
     like ``power:m=3``, ``exp:m=2,c=0.5``, ``identity``; pipe-separated
     shorthands compose left to right."""
+    import json
+
+    from .holomaps import Composition, PuncturedExp, PuncturedPower, map_from_dict
+
     text = text.strip()
     with _malformed_as_usage(f"map spec {text!r}"):
         if text.startswith("{"):
@@ -144,9 +137,13 @@ def _emit(text: str, out: Optional[str]) -> None:
 
 def _emit_rows(rows: list, out: Optional[str]) -> int:
     if out:
+        from .harness import write_rows_csv
+
         with _writing(out):
             write_rows_csv(rows, out)
     else:
+        import json
+
         print(json.dumps(rows, indent=2))
     return 0
 
@@ -160,6 +157,10 @@ def _cmd_dist(args) -> int:
 
 
 def _cmd_degree(args) -> int:
+    import json
+
+    from .covering import degree_contour
+
     result = degree_contour(parse_map_spec(args.map_spec))
     print(json.dumps(result.to_dict()))
     return 0
@@ -173,6 +174,8 @@ def _cmd_verify(args) -> int:
         max_radius=args.max_radius, tolerance=args.tolerance)
     if args.out:  # truncated now, as a shell redirect would: an unwritable path ends here
         _emit("", args.out)
+    from .harness import run_campaign
+
     report = run_campaign(cfg)
     _emit(report.to_json(), args.out)
     n_viol = len(report.violations)
@@ -182,12 +185,16 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_halfplane(args) -> int:
+    from .harness import halfplane_growth
+
     with _malformed_as_usage(f"--n {args.n!r}"):
         n_values = [int(tok) for tok in args.n.split(",") if tok]
     return _emit_rows(halfplane_growth(n_values), args.out)
 
 
 def _cmd_counterexample(args) -> int:
+    from .harness import counterexample_demo
+
     report = counterexample_demo(pairs=args.pairs, seed=args.seed)
     _emit(report.to_json(), args.out)
     contraction = report.extras["contraction"]
@@ -198,6 +205,8 @@ def _cmd_counterexample(args) -> int:
 
 
 def _cmd_convergence(args) -> int:
+    from .harness import convergence_demo
+
     z = ModelPoint.disc(parse_complex(args.z))
     return _emit_rows(convergence_demo(args.budget, z, rows=args.rows, seed=args.seed), args.out)
 

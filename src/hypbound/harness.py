@@ -25,10 +25,10 @@ import functools
 import math
 import time
 from itertools import chain
-from types import MappingProxyType
 from typing import Callable, Optional
 
 from .bounds import check_fixed_point, check_punctured, check_two_point, constant_two_point
+from .config import _FAMILIES, REAL_BASE, CampaignConfig, _check_int
 from .covering import _cover, principal_lift
 from .errors import HypboundError, NumericalError, UsageError, ValidationError
 from .holomaps import (
@@ -41,11 +41,10 @@ from .holomaps import (
     default_rng,
     evaluate,
     sample_map,
-    sampler_param,
 )
 from .mobius import build_disc_automorphism
-from .models import _DISC, TO_UPPER, Frozen, ModelPoint, _mapply, disc_radius_limit, dist
-from .report import DEFAULT_TOLERANCE, BoundReport, dumps, fmt17
+from .models import _DISC, TO_UPPER, Frozen, ModelPoint, _mapply, dist
+from .report import BoundReport, dumps, fmt17
 
 SCHEMA_VERSION = 1
 
@@ -53,79 +52,6 @@ SCHEMA_VERSION = 1
 # punctured base and nearby points'. The batch draws no attempt past them
 SEPARATION_ATTEMPTS = 200
 PUNCTURED_ATTEMPTS = 500
-
-_TWO_POINT = {"two_point", "two_point_sharp"}
-
-# family -> (the theorems it drives, the family_params it takes and their defaults,
-# how many child seeds of derive_seeds its runners read: mix alone reads 2 and 3)
-_FAMILIES = {
-    "blaschke": (_TWO_POINT, {"max_degree": 5}, 2),
-    "automorphism": (_TWO_POINT, {}, 2),
-    "mix": (_TWO_POINT, {"max_degree": 5}, 4),
-    "realpart": (_TWO_POINT, {}, 2),
-    "fixing": ({"fixed_point"}, {"max_degree": 4}, 2),
-    "exp": ({"punctured"}, {"max_power": 4, "max_decay": 2.0}, 2),
-}
-
-
-# the defaults of CampaignConfig, which the CLI's options share
-DEFAULT_MIN_SEP = 0.1
-DEFAULT_MAX_RADIUS = 6.0
-
-# realpart's base points are uniform in (-REAL_BASE, REAL_BASE)
-REAL_BASE = 0.9
-
-
-class CampaignConfig(Frozen):
-    """A campaign: the theorem, the family, how many samples of which seed,
-    and the sampling limits, each validated on construction. ``params`` is
-    the family's parameters, those given else its defaults, as the samplers'
-    types."""
-
-    __match_args__ = _fields = ("theorem", "family", "samples", "seed", "family_params",
-                                "min_sep", "max_radius", "tolerance")
-    __slots__ = (*__match_args__, "params")
-
-    def __init__(self, theorem: str, family: str, samples: int, seed: int,
-                 family_params: Optional[dict] = None, min_sep: float = DEFAULT_MIN_SEP,
-                 max_radius: float = DEFAULT_MAX_RADIUS,
-                 tolerance: float = DEFAULT_TOLERANCE) -> None:
-        # a copy: a caller's later edit reaches neither the report nor the draws
-        family_params = {} if family_params is None else dict(family_params)
-        if theorem not in _RUNNERS:
-            raise UsageError(f"unknown theorem {theorem!r}")
-        theorems, defaults, _ = _FAMILIES.get(family, (set(), {}, 0))
-        if theorem not in theorems:
-            raise UsageError(f"family {family!r} cannot drive theorem {theorem!r}")
-        extra = sorted(set(family_params).difference(defaults))
-        if extra:
-            raise UsageError(f"family {family!r} takes no parameter {extra[0]!r}")
-        given = {key: sampler_param(family_params, key) for key in family_params}
-        _check_int("samples", samples, 1)
-        _check_int("seed", seed, 0)
-        for key, value in (("min_sep", min_sep), ("max_radius", max_radius),
-                           ("tolerance", tolerance)):
-            if not 0.0 < value < math.inf:
-                raise UsageError(f"malformed {key}={value!r}: must be finite and > 0")
-        # the punctured sampler caps its radius at 4, measures no disc distance
-        # and draws no separated pair
-        if theorem != "punctured":
-            limit = disc_radius_limit(tolerance)
-            if max_radius > limit:
-                raise UsageError(
-                    f"max_radius {max_radius:g} is above {limit:.4g}, beyond which disc "
-                    f"distances may err by more than the tolerance {tolerance:g}")
-            # the farthest a sampled point can lie from a first point at the origin
-            reach = 2.0 * math.atanh(REAL_BASE) if family == "realpart" else max_radius / 2.0
-            if min_sep > reach:
-                raise UsageError(f"malformed min_sep={min_sep!r}: must be at most {reach!r}")
-        self._init(theorem, family, samples, seed, family_params, min_sep, max_radius, tolerance)
-        # read-only: no caller's edit reaches the config
-        object.__setattr__(self, "params", MappingProxyType({**defaults, **given}))
-
-    def to_dict(self) -> dict:
-        return {**{name: getattr(self, name) for name in self._fields},
-                "family_params": dict(sorted(self.family_params.items()))}
 
 
 class CampaignReport(Frozen):
@@ -151,12 +77,6 @@ class CampaignReport(Frozen):
 
     def to_json(self, include_timing: bool = True) -> str:
         return dumps(self.to_dict(include_timing))
-
-
-def _check_int(key: str, value, least: int) -> None:
-    """Refuse ``value`` unless it is an int, not a bool, and at least ``least``."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < least:
-        raise UsageError(f"malformed {key}={value!r}: must be an integer >= {least}")
 
 
 def derive_seeds(seed: int, index: int) -> list:
@@ -289,7 +209,7 @@ def _run_punctured(cfg: CampaignConfig, index: int, seeds) -> BoundReport:
 
 
 # runner(cfg, index, seeds): the report of sample index, drawn from SampleSeeds,
-# or from derive_seeds, which seeds the same generators
+# or from derive_seeds, which seeds the same generators; one per config.THEOREMS
 _RUNNERS: dict[str, Callable[..., BoundReport]] = {
     "two_point": _run_two_point,
     "two_point_sharp": _run_two_point,

@@ -8,6 +8,7 @@ import cmath
 import math
 from typing import Optional
 
+from .config import sampler_param
 from .errors import DomainError, PreconditionError, UsageError, ValidationError
 from .mobius import HoloMap, Mobius, apply, build_disc_automorphism
 from .models import _PUNCTURED, Frozen, Model, ModelPoint
@@ -244,30 +245,6 @@ def reference_degree(f: HoloMap, h: HoloMap) -> int:
 def _disc_point(radius: float, u: float, v: float) -> complex:
     # area-uniform in the disc of Euclidean ``radius`` for uniform u and v
     return radius * math.sqrt(u) * cmath.exp(1j * (math.tau * v))
-
-
-# the type of each sampler parameter, the range its values must lie in, and
-# that range in words
-_PARAM_RANGES = {
-    # a Blaschke sample draws up to 2 max_degree + 1 doubles and builds a zero per degree:
-    # the bound keeps one sample to milliseconds
-    "max_degree": (int, lambda v: 1 <= v <= 10 ** 4, "in [1, 10000]"),
-    # numpy draws the power as an int64, which the bound keeps it within; base
-    # point redraws already run out at a few hundred (exp:m=400 in the README)
-    "max_power": (int, lambda v: 1 <= v <= 10 ** 4, "in [1, 10000]"),
-    "max_decay": (float, lambda v: 0.0 <= v < math.inf, "finite and >= 0"),
-    "eps": (float, lambda v: 0.0 < v < math.inf, "finite and > 0"),
-}
-
-
-def sampler_param(params: dict, key: str):
-    """``params[key]`` as its type and within its range; a value out of
-    range is a UsageError."""
-    convert, in_range, text = _PARAM_RANGES[key]
-    value = convert(params[key])
-    if not in_range(value):
-        raise UsageError(f"malformed {key}={value!r}: must be {text}")
-    return value
 
 
 def default_rng(seed):

@@ -10,7 +10,6 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from dataclasses import FrozenInstanceError
 from enum import Enum
 from typing import Callable
 
@@ -71,10 +70,16 @@ class Frozen:
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])
 
+    # FrozenInstanceError is imported where it is raised: dataclasses, with
+    # inspect, costs more than the rest of an import of this module
     def __setattr__(self, name: str, value) -> None:
+        from dataclasses import FrozenInstanceError
+
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name: str) -> None:
+        from dataclasses import FrozenInstanceError
+
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __eq__(self, other):

@@ -6,7 +6,7 @@ import json
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _quote
 
-DEFAULT_TOLERANCE = 1e-9
+from .config import DEFAULT_TOLERANCE  # read as report.DEFAULT_TOLERANCE too
 
 
 def fmt17(x: float) -> str:

@@ -47,6 +47,17 @@ class TestPort:
         for width in (1, 3, 5, 34):
             assert np.array_equal(doubles(outputs(lanes, width)), want[:, :width])
 
+    @pytest.mark.parametrize("k", [1, 34])
+    def test_outputs_match_random_raw_across_the_lane_split(self, k):
+        # outputs runs 4096 // k lanes a pass: counts on both sides of one
+        # pass and of two, against numpy's own PCG64
+        step = 4096 // k
+        lanes = np.random.default_rng(11).integers(0, 2 ** 64, (2 * step + 1, 4), np.uint64)
+        want = np.array([np.random.PCG64(ChildSeed(w)).random_raw(k) for w in lanes])
+        for n in (1, step - 1, step, step + 1, 2 * step, 2 * step + 1):
+            got = outputs(lanes[:n], k)
+            assert got.shape == (n, k) and np.array_equal(got, want[:n])
+
     @pytest.mark.parametrize("lo, hi", [(0, 3), (1, 3), (1, 4), (1, 5), (1, 6), (1, 17),
                                         (1, 41), (1, 401), (0, 3 * 2 ** 30)])
     def test_integers_match_generator_integers(self, lo, hi):

@@ -1,9 +1,13 @@
+import copy
 import csv
+import importlib
 import json
 import math
 import os
+import pickle
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +28,7 @@ from hypbound import (
     run_sample,
 )
 from hypbound.cli import main
-from hypbound import cli, harness
+from hypbound import cli, config, harness
 from hypbound.errors import NumericalError
 from hypbound.harness import (_sample_disc_point, _separated, _uniforms, derive_seeds,
                               write_rows_csv)
@@ -237,8 +241,25 @@ def counting(cls=None, /, **kwargs):
 dataclasses.dataclass = counting
 import hypbound
 
-print(json.dumps([names, "csv" in sys.modules]))
+hypbound.CampaignConfig("two_point", "mix", 500, 3001)
+at_config = list(names)
+disc = hypbound.ModelPoint.disc
+hypbound.check_two_point(hypbound.BlaschkeProduct(0.3, (0.2 + 0.1j,)), disc(0.1), disc(-0.4j),
+                         disc(0.5))
+print(json.dumps([at_config, names, "csv" in sys.modules]))
 """
+
+# the bench's setup snippet: one config, as the CLI builds it before a campaign
+_CONFIG_ONLY = """
+import hypbound
+hypbound.CampaignConfig("two_point", "mix", 500, 3001, family_params={"max_degree": 5})
+"""
+
+
+def imported(stderr: str) -> list:
+    """The modules a ``-X importtime`` run lists, in its stderr ``stderr``."""
+    return [line.rpartition("|")[2].strip() for line in stderr.splitlines()
+            if line.startswith("import time:")]
 
 
 @pytest.fixture(scope="module")
@@ -260,11 +281,21 @@ class TestStartup:
         assert report == run_campaign(cfg).to_dict(include_timing=False)
 
     def test_import_builds_one_dataclass_and_no_csv(self):
-        # the maps, configs and results are slots classes: BoundReport alone is
-        # a dataclass, and csv loads with the first CSV table written
+        # the maps, configs and results are slots classes: a config builds no
+        # dataclass, the first check builds BoundReport, the one dataclass, and
+        # csv loads with the first CSV table written
         out = run_python("-c", _DATACLASS_CALLS, timeout=60)
         assert out.returncode == 0, out.stderr
-        assert json.loads(out.stdout) == [["BoundReport"], False]
+        assert json.loads(out.stdout) == [[], ["BoundReport"], False]
+
+    def test_config_loads_only_the_config_layer(self):
+        out = run_python("-X", "importtime", "-c", _CONFIG_ONLY, timeout=60)
+        assert out.returncode == 0, out.stderr
+        modules = imported(out.stderr)
+        assert [m for m in modules if m.startswith("hypbound")] == [
+            "hypbound", "hypbound.errors", "hypbound.models", "hypbound.config"]
+        assert [m for m in modules if m.partition(".")[0] in
+                ("dataclasses", "json", "numpy", "inspect")] == []
 
     def test_campaigns_leave_numpy_ma_unloaded(self):
         # np.unique, say, imports numpy.ma: a campaign and a replay need neither
@@ -275,19 +306,52 @@ class TestStartup:
             pytest.skip("import numpy loads numpy.ma on this numpy")
         assert not loaded
 
-    @pytest.mark.parametrize("argv, rc", [
-        (["dist", "disc", "0", "0.5"], 0),
-        (["degree", "power:m=3"], 0),
-        (["halfplane", "--n", "10"], 0),
-        (["verify", "--theorem", "two_point", "--family", "mix:deg=x"], 2),
+    @pytest.mark.parametrize("argv, rc, unloaded", [
+        # dist draws nothing and writes no JSON: it compiles cli, config,
+        # models and errors alone
+        (["dist", "disc", "0", "0.5"], 0, ["hypbound.harness", "dataclasses", "json"]),
+        (["degree", "power:m=3"], 0, []),
+        (["halfplane", "--n", "10"], 0, []),
+        (["verify", "--theorem", "two_point", "--family", "mix:deg=x"], 2, []),
     ], ids=["dist", "degree", "halfplane", "malformed-verify"])
-    def test_cli_imports_no_numpy(self, argv, rc):
+    def test_cli_imports_no_numpy(self, argv, rc, unloaded):
         out = run_python("-X", "importtime", "-m", "hypbound", *argv, timeout=60)
         assert out.returncode == rc, out.stderr
-        imported = [line.rpartition("|")[2].strip() for line in out.stderr.splitlines()
-                    if line.startswith("import time:")]
-        assert "hypbound.cli" in imported
-        assert [m for m in imported if m.partition(".")[0] == "numpy"] == []
+        modules = imported(out.stderr)
+        assert "hypbound.cli" in modules
+        assert [m for m in modules if m.partition(".")[0] == "numpy"] == []
+        assert [m for m in modules if m in unloaded] == []
+
+    def test_lazy_exports(self):
+        # each public name resolves, on first use, to the object its home
+        # module defines; a class or function of that name (evaluate is
+        # holomaps' name for mobius.apply) was defined there, not imported
+        for name in hypbound.__all__:
+            home = importlib.import_module(f"hypbound.{hypbound._HOMES[name]}")
+            value = getattr(hypbound, name)
+            assert value is getattr(home, name), name
+            if isinstance(value, (type, types.FunctionType)) and value.__name__ == name:
+                assert value.__module__ == home.__name__, name
+        assert set(hypbound.__all__) <= set(dir(hypbound))
+        assert "__version__" in dir(hypbound)
+        star: dict = {}
+        exec("from hypbound import *", star)
+        assert {name: star[name] for name in hypbound.__all__} == {
+            name: getattr(hypbound, name) for name in hypbound.__all__}
+        with pytest.raises(AttributeError, match="'no_such_name'"):
+            hypbound.no_such_name
+        assert hypbound.CampaignConfig is harness.CampaignConfig
+        assert hypbound.harness is harness and hypbound.config is config
+
+    def test_config_copies_and_pickles(self):
+        cfg = CampaignConfig("punctured", "exp", 40, 7, family_params={"max_power": 6},
+                             min_sep=0.2, tolerance=1e-8)
+        for other in (copy.copy(cfg), copy.deepcopy(cfg), pickle.loads(pickle.dumps(cfg))):
+            assert type(other) is CampaignConfig and other == cfg
+            assert other.to_dict() == cfg.to_dict() and other.params == cfg.params
+
+    def test_runners_cover_the_config_theorems(self):
+        assert set(harness._RUNNERS) == config.THEOREMS
 
 
 class TestCampaigns:
@@ -884,14 +948,14 @@ class TestCli:
         path = tmp_path / "report.json"
         path.write_text("stale")
         seen = []
-        monkeypatch.setattr(cli, "run_campaign",
+        monkeypatch.setattr(harness, "run_campaign",
                             lambda cfg: seen.append(path.read_text()) or run_campaign(cfg))
         argv = ["verify", "--theorem", "two_point", "--family", "mix", "--samples", "10"]
         assert main(argv + ["--out", str(path)]) == 0
         assert seen == [""] and json.loads(path.read_text())["violations"] == []
         capsys.readouterr()
         # so an unwritable path ends at once
-        monkeypatch.setattr(cli, "run_campaign", lambda cfg: pytest.fail("the campaign ran"))
+        monkeypatch.setattr(harness, "run_campaign", lambda cfg: pytest.fail("the campaign ran"))
         for bad in (tmp_path / "missing" / "out", tmp_path):
             assert main(argv + ["--out", str(bad)]) == 2
             assert capsys.readouterr().err.startswith(f"error: cannot write {bad}: ")

@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from .bounds import MIN_SEPARATION
+from . import bounds
 from .harness import PUNCTURED_ATTEMPTS, SEPARATION_ATTEMPTS
 from .models import BOUNDARY_MARGIN, TO_UPPER, Model, _adjugate, _mapply
 
@@ -269,7 +269,7 @@ def _distances(unsure, points, images, first: list, second: list) -> list:
     _flag(unsure, _refused(points) | _refused(images))
     w = np.concatenate([points, images], axis=1)
     d = _dist(w[:, first], w[:, second], unsure)
-    _flag(unsure, ~(d[:, 0] > MIN_SEPARATION * (1.0 + SLACK)))
+    _flag(unsure, ~(d[:, 0] > bounds.MIN_SEPARATION * (1.0 + SLACK)))
     return [d[:, k:k + 1] for k in range(len(first))]
 
 
@@ -281,8 +281,7 @@ def _two_point(cfg, words, unsure):
     # d(a, b), d(z, a), d(b, z), then d(f(z), z), d(f(a), a), d(f(b), b)
     dab, dza, dbz, lhs, dfa, dfb = _distances(unsure, points, images, [0, 2, 1, 5, 3, 4],
                                               [1, 0, 2, 2, 0, 1])
-    top = np.exp(dza + dab + dbz)
-    constant = top / (2.0 * np.sinh(0.5 * dab) if cfg.theorem == "two_point_sharp" else dab)
+    constant = bounds.two_point_constant(np, dza, dab, dbz, cfg.theorem == "two_point_sharp")
     return lhs, constant * (dfa + dfb), constant, (points, images)
 
 
@@ -308,7 +307,7 @@ def _fixed_point(cfg, words, unsure):
     # below 32 eps / s^2 and differ by less (at most 5.4 in 4000 scalar samples at 14.5).
     noise = 32.0 * np.finfo(float).eps / (1.0 - np.abs(b) ** 2)
     _flag(unsure, ~(drift < 1e-10 * (1.0 - SLACK) - noise))
-    constant = np.exp(daz + dzb) / (4.0 * np.sinh(0.5 * dab))
+    constant = bounds.fixed_point_constant(np, daz, dzb, dab)
     return lhs, constant * dfa, constant, (points, images)
 
 
@@ -368,8 +367,7 @@ def _punctured(cfg, words, unsure):
     # d*(z, a), d*(f(z), h(z)), d*(f(a), h(a))
     dza, lhs, dfa = _punctured_dist(np.concatenate([z, fz, fa], axis=1),
                                     np.concatenate([a, hz, ha], axis=1)).T[:, :, None]
-    r = np.abs(a)
-    constant = (8.0 * (-1.0 / (r * np.log(r))) * np.exp(dza)) ** 3
+    constant, _ = bounds.punctured_constant(np, np.abs(a), dza)
     return lhs, constant * dfa, constant, (points, images)
 
 

@@ -1,7 +1,10 @@
 """Bound constants and margin checks for the distortion inequalities:
 the two-point bound and its sharpened form, the reference-automorphism
 variant, the fixed-point bound, the punctured-disc bound and the axis
-displacement bound. Each check returns one ``BoundReport``."""
+displacement bound. Each check returns one ``BoundReport``.
+
+Each constant is written once, over the ops it is given, ``math`` here and numpy
+in ``batch``: a patch of it reaches both engines, and each engine keeps its bits."""
 
 from __future__ import annotations
 
@@ -12,10 +15,32 @@ from .covering import punctured_dist
 from .errors import DomainError, PreconditionError
 from .holomaps import HoloMap, evaluate, reference_degree
 from .mobius import Mobius, apply, classify, dist_to_axis, is_isometry
-from .models import ModelPoint, density_punctured, dist
+from .models import ModelPoint, dist
 from .report import DEFAULT_TOLERANCE, BoundReport, witnesses
 
 MIN_SEPARATION = 1e-9
+
+
+def two_point_constant(ops, dza, dab, dbz, sharp=False):
+    """exp(d(z,a) + d(a,b) + d(b,z)) over d(a,b), or over 2 sinh(d(a,b)/2) if sharp."""
+    top = ops.exp(dza + dab + dbz)
+    return top / (2.0 * ops.sinh(0.5 * dab) if sharp else dab)
+
+
+def fixed_point_constant(ops, daz, dzb, dab):
+    """exp(d(a,z) + d(z,b)) / (4 sinh(d(a,b)/2))."""
+    return ops.exp(daz + dzb) / (4.0 * ops.sinh(0.5 * dab))
+
+
+def punctured_density(ops, r):
+    """The density -1/(r log r) of the punctured disc at modulus r; always >= e."""
+    return -1.0 / (r * ops.log(r))
+
+
+def punctured_constant(ops, r, dza):
+    """L^3 and L = 8 * density(a) * exp(d*(z, a)), for |a| = r."""
+    growth = 8.0 * punctured_density(ops, r) * ops.exp(dza)
+    return growth ** 3, growth
 
 
 def _separation(a: ModelPoint, b: ModelPoint) -> float:
@@ -28,21 +53,17 @@ def _separation(a: ModelPoint, b: ModelPoint) -> float:
 
 def constant_two_point(z: ModelPoint, a: ModelPoint, b: ModelPoint,
                        sharp: bool = False) -> float:
-    """The function-independent constant of the two-point bound:
-    exp(d(z,a) + d(a,b) + d(b,z)) over d(a,b), or over 2*sinh(d(a,b)/2) in
-    the sharp form. The sharp constant never exceeds the plain one."""
+    """The function-independent constant of the two-point bound,
+    ``two_point_constant``; the sharp one never exceeds the plain one."""
     dab = _separation(a, b)
-    top = math.exp(dist(z, a) + dab + dist(b, z))
-    if sharp:
-        return top / (2.0 * math.sinh(0.5 * dab))
-    return top / dab
+    return two_point_constant(math, dist(z, a), dab, dist(b, z), sharp)
 
 
 def constant_keu(a: ModelPoint, b: ModelPoint) -> float:
     """The two-point constant with the z-dependence split off: k such that
-    the full constant is at most k * exp(2 d(z,a)), namely exp(2 d(a,b))/d(a,b)."""
-    dab = _separation(a, b)
-    return math.exp(2.0 * dab) / dab
+    the full constant is at most k * exp(2 d(z,a)), namely its value at z = a,
+    exp(2 d(a,b))/d(a,b)."""
+    return constant_two_point(a, a, b)
 
 
 def check_two_point(f: HoloMap, a: ModelPoint, b: ModelPoint, z: ModelPoint,
@@ -78,7 +99,7 @@ def check_fixed_point(f: HoloMap, a: ModelPoint, b: ModelPoint, z: ModelPoint,
     drift = dist(evaluate(f, b), b)
     if drift > 1e-10:
         raise PreconditionError(f"map moves the fixed point by {drift:.3e}")
-    constant = math.exp(dist(a, z) + dist(z, b)) / (4.0 * math.sinh(0.5 * dab))
+    constant = fixed_point_constant(math, dist(a, z), dist(z, b), dab)
     lhs = dist(evaluate(f, z), z)
     rhs = constant * dist(evaluate(f, a), a)
     return BoundReport("fixed_point", lhs, rhs, constant, tolerance,
@@ -87,12 +108,10 @@ def check_fixed_point(f: HoloMap, a: ModelPoint, b: ModelPoint, z: ModelPoint,
 
 def check_punctured(f: HoloMap, h: HoloMap, a: ModelPoint, z: ModelPoint,
                     tolerance: float = DEFAULT_TOLERANCE) -> BoundReport:
-    """Check d*(f(z), h(z)) <= L^3 * d*(f(a), h(a)) on the punctured disc for
-    a self-covering reference h of the same positive degree, where
-    L = 8 * density(a) * exp(d*(z, a))."""
+    """Check d*(f(z), h(z)) <= L^3 * d*(f(a), h(a)) on the punctured disc, with L
+    from ``punctured_constant``, for a self-covering reference h of f's positive degree."""
     reference_degree(f, h)
-    growth = 8.0 * density_punctured(a) * math.exp(punctured_dist(z, a))
-    constant = growth ** 3
+    constant, growth = punctured_constant(math, abs(a.value), punctured_dist(z, a))
     lhs = punctured_dist(evaluate(f, z), evaluate(h, z))
     rhs = constant * punctured_dist(evaluate(f, a), evaluate(h, a))
     return BoundReport("punctured", lhs, rhs, constant, tolerance,

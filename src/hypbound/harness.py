@@ -358,6 +358,7 @@ def counterexample_demo(pairs: int = 1000, seed: int = 0) -> CampaignReport:
     f = RealPartMap()
     if pairs < 1:
         raise UsageError("pairs must be >= 1")
+    cfg = CampaignConfig("two_point", "realpart", samples=1, seed=seed)  # refuses a bad seed
     uniform = _uniforms(default_rng(derive_seeds(seed, 0)[0]))
     failures = 0
     min_margin = math.inf
@@ -370,7 +371,6 @@ def counterexample_demo(pairs: int = 1000, seed: int = 0) -> CampaignReport:
             failures += 1
     violation = check_two_point(
         f, ModelPoint.disc(0.3), ModelPoint.disc(-0.3), ModelPoint.disc(0.5j))
-    cfg = CampaignConfig("two_point", "realpart", samples=1, seed=seed)
     stats = {"min": violation.margin, "median": violation.margin,
              "p99": violation.margin, "max": violation.margin}
     extras = {
@@ -414,6 +414,7 @@ def convergence_demo(budget: str, z: ModelPoint, rows: int = 20, seed: int = 0) 
     budget_fn = _parse_budget(budget)
     if rows < 1:
         raise UsageError("rows must be >= 1")
+    _check_int("seed", seed, 0)
     a, b = ModelPoint.disc(0.3), ModelPoint.disc(-0.3)
     constant = constant_two_point(z, a, b)
     out = []

@@ -208,8 +208,9 @@ def density_punctured(z: ModelPoint) -> float:
     """Riemannian density -1/(|z| log|z|) of the punctured disc; always >= e."""
     if z.model is not _PUNCTURED:
         raise ValidationError("density_punctured needs a punctured-disc point")
-    r = abs(z.value)
-    return -1.0 / (r * math.log(r))
+    from .bounds import punctured_density  # deferred: bounds depends on models
+
+    return punctured_density(math, abs(z.value))
 
 
 # Fixed isometries onto the upper half-plane, the hub of the model
@@ -303,27 +304,6 @@ def _oracle_upper(u: complex, v: complex) -> float:
     return abs(_simpson(integrand, th_u, th_v))
 
 
-def _oracle_right(u: complex, v: complex) -> float:
-    import numpy as np
-
-    if abs(u.imag - v.imag) <= 1e-12 * max(1.0, abs(u), abs(v)):
-        step = v - u
-
-        def integrand(t):
-            return abs(step) / (u + t * step).real
-
-        return _simpson(integrand, 0.0, 1.0)
-    # semicircle centered on the imaginary axis, angle measured from Re > 0
-    y0 = (abs(v) ** 2 - abs(u) ** 2) / (2.0 * (v.imag - u.imag))
-    ph_u = math.atan2(u.imag - y0, u.real)
-    ph_v = math.atan2(v.imag - y0, v.real)
-
-    def integrand(t):
-        return 1.0 / np.cos(t)
-
-    return abs(_simpson(integrand, ph_u, ph_v))
-
-
 def dist_oracle(u: ModelPoint, v: ModelPoint) -> float:
     """Distance by adaptive quadrature of the Riemannian density along the
     geodesic; an independent check of :func:`dist` (punctured disc excluded)."""
@@ -337,4 +317,4 @@ def dist_oracle(u: ModelPoint, v: ModelPoint) -> float:
         return _oracle_disc(u.value, v.value)
     if u.model is _UPPER:
         return _oracle_upper(u.value, v.value)
-    return _oracle_right(u.value, v.value)
+    return _oracle_upper(1j * u.value, 1j * v.value)  # rotated, as dist does

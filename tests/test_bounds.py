@@ -1,3 +1,4 @@
+import cmath
 import dataclasses
 import math
 
@@ -231,6 +232,32 @@ class TestCheckPunctured:
         assert abs(r.constant - (8.0 * math.e) ** 3) <= 1e-9 * r.constant
         base_gap = punctured_dist(evaluate(f, a), a)
         assert abs(r.rhs - r.constant * base_gap) <= 1e-9 * max(1.0, r.rhs)
+
+    def test_rotation_never_beats_z_equal_a(self, rng):
+        # f = e^{is} h with h = z^m and |s| <= pi: d*(f(w), h(w)) = 2 asinh(|s| / (2m y))
+        # at the height y = -log|w| of w's lift, heights differ by a factor e^{d*(z,a)} at
+        # most, and L >= 8 e e^{d*(z,a)}; so lhs/rhs <= (8e)^-3 e^{-2 d*(z,a)}, with
+        # equality at z = a, |a| = 1/e. Half the z lie near a, where the bound is tight
+        floor = (8.0 * math.e) ** -3
+        for i in range(2000):
+            m = int(rng.integers(1, 5))
+            s = math.copysign(math.exp(rng.uniform(math.log(1e-3), math.log(math.pi))),
+                              rng.uniform(-1.0, 1.0))
+            a = random_punctured_point(rng)
+            if i % 2:
+                z = random_punctured_point(rng)
+            else:
+                t = math.exp(rng.uniform(math.log(1e-6), 0.0))
+                z = ModelPoint.punctured(
+                    min(0.99, abs(a.value) * math.exp(rng.uniform(-t, t)))
+                    * cmath.exp(1j * (cmath.phase(a.value) + rng.uniform(-t, t))))
+            r = check_punctured(PuncturedPower(s, m), PuncturedPower(0.0, m), a, z)
+            bound = floor * math.exp(-2.0 * punctured_dist(z, a))
+            assert r.lhs / r.rhs <= bound * (1.0 + 1e-9)
+        a = ModelPoint.punctured(1.0 / math.e)
+        r = check_punctured(PuncturedPower(1.0, 2), PuncturedPower(0.0, 2), a, a)
+        assert r.lhs / r.rhs == pytest.approx(floor, rel=4e-16)
+        assert floor == pytest.approx(9.724036790598428e-05, rel=4e-16)
 
     def test_exp_against_identity(self):
         f = PuncturedExp(0.0, 1, 0.1)

@@ -1,6 +1,8 @@
 import cmath
 import math
+import sys
 
+import numpy as np
 import pytest
 
 from hypbound import (
@@ -29,6 +31,7 @@ from hypbound import (
     sample_map,
 )
 
+from hypbound.batch import _punctured_dist
 from hypbound.cli import parse_map_spec
 
 from conftest import random_punctured_point
@@ -118,6 +121,32 @@ class TestPuncturedDist:
             dxy = punctured_dist(x, y)
             assert abs(dxy - punctured_dist(y, x)) <= 1e-10 * max(1.0, dxy)
             assert punctured_dist(x, z) <= dxy + punctured_dist(y, z) + 1e-9
+
+    def test_rotation_closed_form(self, rng):
+        # d*(e^{is} w, w) = 2 asinh(q), q = |s| / (-2 log|w|), for |s| <= pi, through
+        # both engines. The tolerance is a first-order model of the rounding, four times
+        # over: the lifts' angles err by about eps (|arg w| + |s| + pi), their height
+        # -log|w| / 2 pi by eps / (-log|w|) relative, each moving d by 2q / sqrt(1 + q^2)
+        # times the relative error of q, and d itself rounds by eps d. The worst error
+        # was 0.25 of this tolerance over 80000 draws; a flat 1e-12 fails at s = 1e-9
+        eps, n = sys.float_info.epsilon, 4000
+        r = np.exp(rng.uniform(math.log(1e-12), math.log1p(-1e-9), n))
+        r[:2] = 1e-12, 1.0 - 1e-9
+        arg = rng.uniform(-math.pi, math.pi, n)
+        small = np.exp(rng.uniform(math.log(1e-9), math.log(math.pi), n))
+        s = np.where(rng.random(n) < 0.5, rng.uniform(-math.pi, math.pi, n),
+                     small * rng.choice([-1.0, 1.0], n))
+        s[2:5] = math.pi, -math.pi, 1e-9
+        w = r * np.exp(1j * arg)
+        v = np.exp(1j * s) * w
+        q = np.abs(s) / (-2.0 * np.log(r))
+        exact = 2.0 * np.arcsinh(q)
+        first = (np.abs(arg) + np.abs(s) + math.pi) / np.abs(s) + 1.0 / -np.log(r)
+        tol = 4.0 * eps * (2.0 * q / np.sqrt(1.0 + q * q) * first + exact)
+        scalar = [punctured_dist(ModelPoint.punctured(complex(x)), ModelPoint.punctured(complex(y)))
+                  for x, y in zip(v, w)]
+        for got in (np.array(scalar), _punctured_dist(v, w)):
+            assert (np.abs(got - exact) <= tol).all()
 
     def test_below_principal_lift_distance(self, rng):
         for _ in range(200):

@@ -766,10 +766,14 @@ class TestCounterexample:
         assert abs(v.lhs - 2.0 * math.atanh(0.5)) <= 1e-12
         assert report.extras["expected_violation"] is True
 
-    @pytest.mark.parametrize("pairs", [0, -3])
-    def test_no_pairs_refused(self, pairs):
-        with pytest.raises(UsageError, match="pairs must be >= 1"):
-            counterexample_demo(pairs=pairs)
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"pairs": 0}, "pairs must be >= 1"),
+        ({"pairs": -3}, "pairs must be >= 1"),
+        ({"seed": -1}, "malformed seed=-1: must be an integer >= 0"),
+    ], ids=["0", "-3", "seed-minus-1"])
+    def test_no_pairs_refused(self, kwargs, message):
+        with pytest.raises(UsageError, match=message):
+            counterexample_demo(**kwargs)
 
     def test_deterministic(self):
         a = counterexample_demo(pairs=200, seed=3).to_json(include_timing=False)
@@ -796,10 +800,14 @@ class TestConvergence:
         # tail of sum 1/n^2 beyond N is below 1/N
         assert limit - partials[-1] <= constant / 50.0
 
-    @pytest.mark.parametrize("rows", [0, -3])
-    def test_empty_table_refused(self, rows):
-        with pytest.raises(UsageError, match="rows must be >= 1"):
-            convergence_demo("inv_square", ModelPoint.disc(0.5j), rows=rows)
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"rows": 0}, "rows must be >= 1"),
+        ({"rows": -3}, "rows must be >= 1"),
+        ({"seed": -1}, "malformed seed=-1: must be an integer >= 0"),
+    ], ids=["0", "-3", "seed-minus-1"])
+    def test_empty_table_refused(self, kwargs, message):
+        with pytest.raises(UsageError, match=message):
+            convergence_demo("inv_square", ModelPoint.disc(0.5j), **kwargs)
 
     def test_non_summable_refused(self):
         z = ModelPoint.disc(0.5j)
@@ -908,18 +916,24 @@ class TestCli:
                       "--out", str(tmp_path / "ce.json"))
         assert out.returncode == 0
 
-    @pytest.mark.parametrize("pairs", ["0", "-3"])
-    def test_counterexample_without_pairs_exits(self, pairs, capsys):
-        assert main(["counterexample", "--pairs", pairs]) == 2
+    @pytest.mark.parametrize("argv, line", [
+        (["--pairs", "0"], "error: pairs must be >= 1\n"),
+        (["--pairs", "-3"], "error: pairs must be >= 1\n"),
+        (["--seed", "-1"], "error: malformed seed=-1: must be an integer >= 0\n"),
+    ], ids=["0", "-3", "seed-minus-1"])
+    def test_counterexample_without_pairs_exits(self, argv, line, capsys):
+        assert main(["counterexample", *argv]) == 2
         out = capsys.readouterr()
         assert out.out == ""
-        assert out.err == "error: pairs must be >= 1\n"
+        assert out.err == line
 
     @pytest.mark.parametrize("argv, line", [
         (["convergence", "--z", "0.5i", "--rows", "0"], "error: rows must be >= 1\n"),
         (["convergence", "--z", "0.5i", "--rows", "-3"], "error: rows must be >= 1\n"),
         (["halfplane", "--n", ","], "error: no n values: nothing to tabulate\n"),
-    ], ids=["rows-0", "rows-minus-3", "n-empty"])
+        (["convergence", "--z", "0.3", "--seed", "-1"],
+         "error: malformed seed=-1: must be an integer >= 0\n"),
+    ], ids=["rows-0", "rows-minus-3", "n-empty", "seed-minus-1"])
     def test_empty_table_exits_with_or_without_out(self, argv, line, tmp_path, capsys):
         path = tmp_path / "table.csv"
         for out in ([], ["--out", str(path)]):

@@ -11,7 +11,8 @@ from typing import Optional
 
 # each command imports what it runs, so that one which draws nothing, such as
 # dist, compiles no map, bound, report or harness code and loads no numpy
-from .config import DEFAULT_MAX_RADIUS, DEFAULT_MIN_SEP, DEFAULT_TOLERANCE, CampaignConfig
+from .config import (DEFAULT_MAX_RADIUS, DEFAULT_MIN_SEP, DEFAULT_TOLERANCE, THEOREMS,
+                     CampaignConfig)
 from .errors import HypboundError, UsageError
 from .models import Model, ModelPoint, dist
 
@@ -229,8 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_degree)
 
     p = sub.add_parser("verify", help="run a sampling campaign against a bound")
-    p.add_argument("--theorem", required=True,
-                   choices=["two_point", "two_point_sharp", "fixed_point", "punctured"])
+    p.add_argument("--theorem", required=True, choices=sorted(THEOREMS))
     p.add_argument("--family", required=True,
                    help="blaschke[:deg=N] | automorphism | mix[:deg=N] | "
                         "realpart | fixing[:deg=N] | exp[:m=N,c=X]")

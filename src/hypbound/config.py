@@ -22,7 +22,8 @@ DEFAULT_MAX_RADIUS = 6.0
 # realpart's base points are uniform in (-REAL_BASE, REAL_BASE)
 REAL_BASE = 0.9
 
-# the theorems a campaign checks: the keys of harness._RUNNERS
+# the theorems a campaign checks: the keys of harness._RUNNERS and batch._RUNNERS,
+# and the CLI's --theorem choices
 THEOREMS = frozenset({"two_point", "two_point_sharp", "fixed_point", "punctured"})
 
 _TWO_POINT = {"two_point", "two_point_sharp"}

@@ -341,6 +341,8 @@ def halfplane_growth(n_values) -> list:
         zn = ModelPoint.right(1.0 / n)
         disp_z = dist(evaluate(f, zn), zn)
         disp_a = dist(evaluate(f, anchor), anchor)
+        if disp_a == 0.0:
+            raise NumericalError(f"at n={n}, 1 + 1/n^2 rounds to 1: the anchor does not move")
         ratio = disp_z / disp_a
         growth = math.exp(dist(zn, anchor))
         if abs(ratio / n - 1.0) > 2.0 / n:
@@ -420,8 +422,9 @@ def convergence_demo(budget: str, z: ModelPoint, rows: int = 20, seed: int = 0) 
     out = []
     partial = 0.0
     for n in range(1, rows + 1):
-        target = budget_fn(n)
-        eps = target
+        target = eps = budget_fn(n)
+        if not target > 0.0:
+            raise UsageError(f"budget {budget!r} underflows to {target!r} at row {n}")
         for _ in range(80):
             f = sample_map("near_identity", derive_seeds(seed, n)[0], {"eps": eps})
             measured = dist(evaluate(f, a), a) + dist(evaluate(f, b), b)

@@ -9,7 +9,7 @@ import math
 from typing import Optional
 
 from .config import sampler_param
-from .errors import DomainError, PreconditionError, UsageError, ValidationError
+from .errors import PreconditionError, UsageError, ValidationError
 from .mobius import HoloMap, Mobius, apply, build_disc_automorphism
 from .models import _PUNCTURED, Frozen, Model, ModelPoint
 
@@ -45,18 +45,6 @@ class BlaschkeProduct(HoloMap, Frozen):
             w *= (z - z0) / (1.0 - z0.conjugate() * z)
         return w
 
-    def _derivative(self, z: complex) -> complex:
-        factors = [(z - z0) / (1.0 - z0.conjugate() * z) for z0 in self.zeros]
-        slopes = [(1.0 - abs(z0) ** 2) / (1.0 - z0.conjugate() * z) ** 2 for z0 in self.zeros]
-        total = 0.0 + 0.0j
-        for j, dj in enumerate(slopes):
-            part = dj
-            for k, fk in enumerate(factors):
-                if k != j:
-                    part *= fk
-            total += part
-        return cmath.exp(1j * self.rotation) * total
-
     def to_dict(self) -> dict:
         return {"variant": "blaschke", "rotation": self.rotation,
                 "zeros": [[z.real, z.imag] for z in self.zeros]}
@@ -76,9 +64,6 @@ class HalfPlaneTranslate(HoloMap, Frozen):
 
     def value_at(self, z: complex) -> complex:
         return z + self.offset
-
-    def _derivative(self, z: complex) -> complex:
-        return 1.0
 
     def to_dict(self) -> dict:
         return {"variant": "halfplane_translate", "offset": self.offset}
@@ -214,9 +199,6 @@ class RealPartMap(HoloMap, Frozen):
 
     def value_at(self, z: complex) -> complex:
         return complex(z.real, 0.0)
-
-    def _derivative(self, z: complex) -> complex:
-        raise DomainError("the real-part map is not holomorphic")
 
     def to_dict(self) -> dict:
         return {"variant": "real_part"}

@@ -9,7 +9,7 @@ from typing import Optional
 
 from .errors import DomainError, IntegrityError, NumericalError, ValidationError
 from .models import (_DISC, _PUNCTURED, _RIGHT, _UPPER, TO_UPPER, Frozen, Model, ModelPoint,
-                     _adjugate, _mapply, convert, dist, model_excess)
+                     _adjugate, _mapply, convert, model_excess)
 
 # Boundary fixed point at infinity (never wrapped in a ModelPoint).
 INF = complex(math.inf, 0.0)
@@ -30,12 +30,15 @@ def _mmul(m1: tuple, m2: tuple) -> tuple:
 
 class HoloMap:
     """Base class for the self-maps of a model. Concrete variants implement
-    raw complex evaluation (``value_at``), a closed-form derivative, a JSON
-    round trip and, for punctured-disc maps of declared degree, a
-    closed-form lift. ``contraction_only`` marks variants that contract the
-    metric without being holomorphic; ``self_covering`` marks the maps
-    z -> e^{i t} z^m of the punctured disc. The package's maps are also
-    ``Frozen``; the base itself holds no state."""
+    raw complex evaluation (``value_at``), a JSON round trip and, for
+    punctured-disc maps of declared degree, a closed-form lift. Only the maps
+    that ``degree_contour`` reaches have a closed-form ``_derivative``: the
+    punctured-disc maps, ``Mobius`` (as a punctured-disc automorphism) and
+    ``Composition``; it refuses disc and half-plane maps before asking.
+    ``contraction_only`` marks variants that contract the metric without
+    being holomorphic; ``self_covering`` marks the maps z -> e^{i t} z^m of
+    the punctured disc. The package's maps are also ``Frozen``; the base
+    itself holds no state."""
 
     __slots__ = ()
     model: Model
@@ -256,47 +259,16 @@ def build_disc_automorphism(a: ModelPoint, theta: float) -> Mobius:
     return Mobius(rot, -rot * a.value, -a.value.conjugate(), 1.0, _DISC)
 
 
-def _axis_matrix(e1: complex, e2: complex) -> tuple:
-    """Real matrix of positive determinant sending the geodesic with real
-    endpoints e1, e2 (one may be INF) onto the imaginary axis."""
-    if is_infinite(e1):
-        e1, e2 = e2, e1
-    if is_infinite(e2):
-        return (1.0, -e1.real, 0.0, 1.0)
-    return (1.0, -max(e1.real, e2.real), 1.0, -min(e1.real, e2.real))
-
-
-def _to_imaginary_axis(p: complex, q: complex) -> tuple:
-    """Real matrix of determinant 1 moving the geodesic through upper
-    half-plane points p, q onto the imaginary axis with q at i and p at
-    exp(d)*i above it. The unit determinant makes its adjugate the inverse,
-    so conjugations by it stay unit too, even for points near the boundary."""
-    if abs(p.real - q.real) <= 1e-12 * max(1.0, abs(p), abs(q)):
-        m = _axis_matrix(q.real, INF)
-    else:
-        x0 = (abs(p) ** 2 - abs(q) ** 2) / (2.0 * (p.real - q.real))
-        r = math.hypot(p.real - x0, p.imag)
-        # near-vertical geodesics put the center far out and one endpoint
-        # suffers cancellation in x0 -/+ r; recover it from the root product
-        # x0^2 - r^2 = (2 x0 - Re p) Re p - (Im p)^2, which stays accurate
-        e_far = x0 + math.copysign(r, x0)
-        e_near = ((2.0 * x0 - p.real) * p.real - p.imag * p.imag) / e_far
-        m = _axis_matrix(e_near, e_far)
-    yq = _mapply(m, q).imag
-    m = _mmul((1.0, 0.0, 0.0, yq), m)
-    if _mapply(m, p).imag < 1.0:
-        m = _mmul((0.0, -1.0, 1.0, 0.0), m)  # flip fixing i
-    s = math.sqrt(m[0] * m[3] - m[1] * m[2])
-    return (m[0] / s, m[1] / s, m[2] / s, m[3] / s)
-
-
 def hyperbolic_pull(p: ModelPoint, q: ModelPoint) -> Mobius:
     """The hyperbolic automorphism whose axis passes through p and q and
     which maps q to p; the identity when p equals q.
 
-    Built by conjugating the standard dilation: the geodesic through p, q is
-    moved onto the imaginary axis of the upper half-plane, a dilation by
-    exp(dist(p, q)) is applied there, and the conjugation is undone.
+    In closed form on the upper half-plane: with q moved to i y_q by a real
+    translation and x + i y_p the image of p, the product M of the half-turns
+    about p and q translates by 2 d(p, q) along their geodesic, and its
+    square root (M + I) / sqrt(tr M + 2) is the real matrix below over the
+    root of its determinant y_p y_q (x^2 + (y_p + y_q)^2), a sum with no
+    cancellation however near the boundary the points lie.
     """
     if p.model is not q.model:
         raise DomainError(f"model mismatch: {p.model} vs {q.model}")
@@ -304,15 +276,15 @@ def hyperbolic_pull(p: ModelPoint, q: ModelPoint) -> Mobius:
         return Mobius.identity(p.model)
     if p.model is _PUNCTURED:
         raise DomainError("no Moebius isometries act on the punctured disc")
-    length = dist(p, q)
     hub = TO_UPPER[p.model]
     pu = _mapply(hub, p.value)
     qu = _mapply(hub, q.value)
-    t = _to_imaginary_axis(pu, qu)
-    dil = (math.exp(length / 2.0), 0.0, 0.0, math.exp(-length / 2.0))
-    h_upper = _mmul(_mmul(_adjugate(t), dil), t)
-    h_model = _mmul(_mmul(_adjugate(hub), h_upper), hub)
-    result = Mobius(*h_model, p.model)
+    x, yp, yq = pu.real - qu.real, pu.imag, qu.imag
+    s = math.sqrt(yp * yq * (x * x + (yp + yq) ** 2))
+    pull = ((x * x + yp * (yp + yq)) / s, x * yq * yq / s, x / s, yq * (yq + yp) / s)
+    shift = (1.0, qu.real, 0.0, 1.0)
+    h_upper = _mmul(_mmul(shift, pull), _adjugate(shift))
+    result = Mobius(*_mmul(_mmul(_adjugate(hub), h_upper), hub), p.model)
     if abs(result.apply_value(q.value) - p.value) > 1e-8 * max(1.0, abs(p.value)):
         raise NumericalError("pull-back construction lost too much precision")
     return result
@@ -332,8 +304,12 @@ def _axis_to_upper(axis: tuple, model: Model) -> tuple:
 
 def dist_to_axis(w: ModelPoint, axis: tuple, model: Model) -> float:
     """Hyperbolic distance from a point to the geodesic with the given
-    boundary endpoints (endpoints in model coordinates, INF allowed)."""
-    wu = convert(w, _UPPER).value
-    z = _mapply(_axis_matrix(*_axis_to_upper(axis, model)), wu)
-    return math.asinh(abs(z.real) / z.imag)
-
+    boundary endpoints (endpoints in model coordinates, INF allowed): on the
+    upper half-plane, sinh d = |Re P| / |Im P| for P = (z - e1)(conj z - e2),
+    and |Re z - e1| / Im z when e2 is INF."""
+    z = convert(w, _UPPER).value
+    x, y = z.real, z.imag
+    e1, e2 = sorted(e.real for e in _axis_to_upper(axis, model))  # INF last
+    if math.isinf(e2):
+        return math.asinh(abs(x - e1) / y)
+    return math.asinh(abs((x - e1) * (x - e2) + y * y) / (y * (e2 - e1)))  # Re P, -Im P

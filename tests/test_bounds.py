@@ -154,6 +154,12 @@ class TestCheckTwoPoint:
             check_two_point(Mobius.identity(Model.DISC), ModelPoint.disc(0.3),
                             ModelPoint.disc(-0.3), ModelPoint.disc(0.5j), h=shrink)
 
+    def test_reference_on_another_model_rejected(self):
+        dilation = Mobius(2.0, 0.0, 0.0, 1.0, Model.UPPER_HALF_PLANE)
+        with pytest.raises(PreconditionError, match="must act on the points' model"):
+            check_two_point(Mobius.identity(Model.DISC), ModelPoint.disc(0.3),
+                            ModelPoint.disc(-0.3), ModelPoint.disc(0.5j), h=dilation)
+
     def test_witnesses_serialized(self):
         f = BlaschkeProduct(0.1, (0.2,))
         r = check_two_point(f, ModelPoint.disc(0.3), ModelPoint.disc(-0.3),

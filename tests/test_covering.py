@@ -242,10 +242,16 @@ class TestDegreeContour:
         ("identity|power:m=2", 2, 1.1709383462843448e-17),
         ("power:m=2|identity", 2, 1.5178830414797062e-18),
         ("power:m=3,theta=0.7|exp:m=2,c=0.5", 6, 9.237024812647398e-16),
+        pytest.param('{"variant": "composition", "maps": [{"variant": "composition", "maps": ['
+                     '{"variant": "punctured_power", "rotation": 0.7, "power": 3}, '
+                     '{"variant": "punctured_exp", "rotation": 0.0, "power": 2, "decay": 0.5}]}, '
+                     '{"variant": "punctured_power", "rotation": 0.0, "power": 1}]}',
+                     6, 9.217047984747405e-16, id="nested-json"),
     ])
     def test_composed_residuals_are_pinned(self, spec, value, residual):
         # what `hypbound degree` prints, bit for bit: the inner maps enter
-        # the composed log-derivative through their derivatives
+        # the composed log-derivative through their derivatives, a nested
+        # composition through its own
         assert degree_contour(parse_map_spec(spec)).to_dict() == {
             "value": value, "residual": residual, "panels": 128}
 

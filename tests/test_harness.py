@@ -28,7 +28,7 @@ from hypbound import (
     run_sample,
 )
 from hypbound.cli import main
-from hypbound import cli, config, harness
+from hypbound import batch, cli, config, harness
 from hypbound.errors import NumericalError
 from hypbound.harness import (_sample_disc_point, _separated, _uniforms, derive_seeds,
                               write_rows_csv)
@@ -352,6 +352,7 @@ class TestStartup:
 
     def test_runners_cover_the_config_theorems(self):
         assert set(harness._RUNNERS) == config.THEOREMS
+        assert set(batch._RUNNERS) == config.THEOREMS
 
 
 class TestCampaigns:
@@ -749,6 +750,11 @@ class TestHalfplaneGrowth:
         with pytest.raises(UsageError):
             halfplane_growth([1])
 
+    def test_n_whose_anchor_rounds_refused(self):
+        # from n = 94906266 on, 1 + 1/n^2 rounds to 1 and the anchor's displacement is 0
+        with pytest.raises(NumericalError, match="n=94906266"):
+            halfplane_growth([94906266])
+
     def test_empty_table_refused(self):
         with pytest.raises(UsageError, match="nothing to tabulate"):
             halfplane_growth([])
@@ -808,6 +814,11 @@ class TestConvergence:
     def test_empty_table_refused(self, kwargs, message):
         with pytest.raises(UsageError, match=message):
             convergence_demo("inv_square", ModelPoint.disc(0.5j), **kwargs)
+
+    def test_underflowing_budget_refused(self):
+        # 2^-1000 is a double, 3^-1000 is 0
+        with pytest.raises(UsageError, match=r"budget 'inv_power:p=1000' underflows .* row 3"):
+            convergence_demo("inv_power:p=1000", ModelPoint.disc(0.3), rows=3)
 
     def test_non_summable_refused(self):
         z = ModelPoint.disc(0.5j)
@@ -933,7 +944,11 @@ class TestCli:
         (["halfplane", "--n", ","], "error: no n values: nothing to tabulate\n"),
         (["convergence", "--z", "0.3", "--seed", "-1"],
          "error: malformed seed=-1: must be an integer >= 0\n"),
-    ], ids=["rows-0", "rows-minus-3", "n-empty", "seed-minus-1"])
+        (["halfplane", "--n", "100000000"],
+         "error: at n=100000000, 1 + 1/n^2 rounds to 1: the anchor does not move\n"),
+        (["convergence", "--z", "0.3", "--budget", "inv_power:p=1000", "--rows", "3"],
+         "error: budget 'inv_power:p=1000' underflows to 0.0 at row 3\n"),
+    ], ids=["rows-0", "rows-minus-3", "n-empty", "seed-minus-1", "n-rounds", "budget-underflow"])
     def test_empty_table_exits_with_or_without_out(self, argv, line, tmp_path, capsys):
         path = tmp_path / "table.csv"
         for out in ([], ["--out", str(path)]):

@@ -23,6 +23,7 @@ from hypbound import (
     map_from_dict,
     qlo_bound,
 )
+from hypbound.mobius import is_isometry
 
 from conftest import random_disc_point, random_model_point
 
@@ -253,6 +254,15 @@ class TestHyperbolicPull:
             d = dist(p, q)
             assert abs(classify(h).translation_length - d) <= 1e-12 * d
 
+    def test_far_apart_at_one_height(self):
+        # a semicircle of radius 1e6 through points at height 1: a pull built from
+        # its endpoints erred by a relative 8e-6 in its translation length
+        p, q = ModelPoint.upper(complex(1e6, 1.0)), ModelPoint.upper(complex(-1e6, 1.0))
+        h = hyperbolic_pull(p, q)
+        d = dist(p, q)
+        assert abs(classify(h).translation_length - d) <= 1e-12 * d
+        assert abs(h.apply_value(q.value) - p.value) <= 1e-8 * abs(p.value)
+
     @pytest.mark.parametrize("p, q", [
         (ModelPoint.upper(2e-7j), ModelPoint.upper(1e-7j)),
         (ModelPoint.upper(complex(1.0, 1e-7)), ModelPoint.upper(complex(1.0 + 1e-8, 2e-7))),
@@ -329,6 +339,31 @@ def test_axis_distance_vertical():
     d = dist_to_axis(ModelPoint.upper(1 + 1j), (0.0, complex(math.inf, 0)),
                      Model.UPPER_HALF_PLANE)
     assert abs(math.sinh(d) - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("t", [1e-6, 1e-3, 0.5, 1.0, 1.0 + 1e-9, 3.0, 1e3, 1e6])
+def test_axis_distance_to_a_semicircle(t):
+    # t i lies on the imaginary axis, which meets the unit semicircle at i
+    # at a right angle, so its distance to that geodesic is d(t i, i) = |ln t|
+    d = dist_to_axis(ModelPoint.upper(complex(0.0, t)), (-1.0, 1.0), Model.UPPER_HALF_PLANE)
+    assert abs(d - abs(math.log(t))) <= 1e-15 + 1e-14 * abs(math.log(t))
+
+
+@pytest.mark.parametrize("model, automorphisms, others", [
+    (Model.UPPER_HALF_PLANE,
+     [(2.0, 0.0, 0.0, 1.0), (1.0, 1.0, 0.0, 1.0), (0.0, -1.0, 1.0, 0.0)],
+     [(1.0, 1j, 0.0, 1.0), (1j, 0.0, 0.0, 1.0)]),
+    (Model.RIGHT_HALF_PLANE,
+     [(2.0, 0.0, 0.0, 1.0), (1.0, 1j, 0.0, 1.0), (0.0, 1.0, 1.0, 0.0)],
+     [(1.0, 1.0, 0.0, 1.0), (1j, 0.0, 0.0, 1.0)]),
+], ids=["upper", "right"])
+def test_is_isometry_half_planes(model, automorphisms, others):
+    # after normalization: real entries on the upper half-plane; real diagonal
+    # and imaginary off-diagonal on the right half-plane
+    for entries in automorphisms:
+        assert is_isometry(Mobius(*entries, model))
+    for entries in others:  # a translation that is not onto, a rotation off the model
+        assert not is_isometry(Mobius(*entries, model))
 
 
 def test_sinh_ratio_increasing():

@@ -22,8 +22,7 @@ _EXPORTS = {
                "run_campaign run_sample",
     "holomaps": "BlaschkeProduct Composition HalfPlaneTranslate PuncturedExp PuncturedPower "
                 "RealPartMap declared_degree evaluate map_from_dict sample_map",
-    "mobius": "INF HoloMap Mobius MobiusClass apply build_disc_automorphism classify "
-              "dist_to_axis hyperbolic_pull is_infinite",
+    "mobius": "HoloMap Mobius apply build_disc_automorphism dist_to_axis hyperbolic_pull",
     "models": "BOUNDARY_MARGIN HalfDistancePair Model ModelPoint convert density_punctured "
               "dist dist_oracle half_sinh_cosh",
     "report": "BoundReport",

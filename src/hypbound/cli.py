@@ -276,6 +276,11 @@ def main(argv: Optional[list] = None) -> int:
     except HypboundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        # numpy's names the array it could not allocate; a bare one says nothing
+        print(f"error: out of memory: {exc}" if str(exc) else "error: out of memory",
+              file=sys.stderr)
+        return 2
     except BrokenPipeError:
         # the reader closed stdout: silence the interpreter's last flush; 128 + SIGPIPE
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

@@ -1,27 +1,21 @@
 """Self-maps (``HoloMap``, ``apply``) and the fractional-linear ones: composition,
-classification, fixed points and axes, disc automorphisms."""
+disc automorphisms, the hyperbolic pull, and the questions of isometry and axis,
+each read from the map's matrix on the upper half-plane."""
 
 from __future__ import annotations
 
 import cmath
 import math
+import sys
 from typing import Optional
 
 from .errors import DomainError, IntegrityError, NumericalError, ValidationError
-from .models import (_DISC, _PUNCTURED, _RIGHT, _UPPER, TO_UPPER, Frozen, Model, ModelPoint,
-                     _adjugate, _mapply, convert, model_excess)
+from .models import (_DISC, _PUNCTURED, TO_UPPER, Frozen, Model, ModelPoint, _adjugate,
+                     _mapply, model_excess)
 
-# Boundary fixed point at infinity (never wrapped in a ModelPoint).
-INF = complex(math.inf, 0.0)
-
-
-def is_infinite(z: complex) -> bool:
-    return not (math.isfinite(z.real) and math.isfinite(z.imag))
-
-
-# raw 2x2 helpers used for internal conjugation arithmetic
 
 def _mmul(m1: tuple, m2: tuple) -> tuple:
+    """The product of two matrices (a, b, c, d): the map m1 after m2."""
     a1, b1, c1, d1 = m1
     a2, b2, c2, d2 = m2
     return (a1 * a2 + b1 * c2, a1 * b2 + b1 * d2,
@@ -128,8 +122,13 @@ class Mobius(HoloMap, Frozen):
 
     @classmethod
     def from_dict(cls, d: dict) -> "Mobius":
+        """The map of a ``mobius_automorphism`` JSON form, refused unless it is
+        an automorphism of its model."""
         a, b, c, dd = (complex(re, im) for re, im in d["matrix"])
-        return cls(a, b, c, dd, Model(d["model"]))
+        m = cls(a, b, c, dd, Model(d["model"]))
+        if not is_isometry(m):
+            raise ValidationError(f"matrix is not an automorphism of the {m.model.value} model")
+        return m
 
 
 def _finite_entries(a: complex, b: complex, c: complex, d: complex) -> tuple:
@@ -171,83 +170,23 @@ def apply(m: HoloMap, z: ModelPoint) -> ModelPoint:
         raise
 
 
-class MobiusClass(Frozen):
-    """Conjugacy classification of a model-preserving map.
-
-    ``fixed_points`` may contain INF; for elliptic maps the interior fixed
-    point comes first. ``axis`` is the pair of boundary fixed points of a
-    hyperbolic map, ``translation_length`` its displacement along the axis.
-    """
-
-    __slots__ = __match_args__ = _fields = ("kind", "fixed_points", "axis", "translation_length")
-
-    def __init__(self, kind: str, fixed_points: tuple, axis: Optional[tuple] = None,
-                 translation_length: Optional[float] = None) -> None:
-        # kind: identity | elliptic | parabolic | hyperbolic
-        self._init(kind, fixed_points, axis, translation_length)
-
-
-def _fixed_points(a: complex, b: complex, c: complex, d: complex) -> tuple:
-    # solutions of c z^2 + (d - a) z - b = 0, with infinity when c = 0
-    if abs(c) < 1e-14:
-        if abs(d - a) < 1e-12:
-            return (INF,)
-        return (b / (d - a), INF)
-    sq = cmath.sqrt((d - a) ** 2 + 4.0 * b * c)
-    # avoid cancellation: take the sign matching (a - d), get the second
-    # root from the product -b/c
-    if ((a - d).real * sq.real + (a - d).imag * sq.imag) < 0.0:
-        sq = -sq
-    r1 = ((a - d) + sq) / (2.0 * c)
-    if r1 == 0.0:
-        return (0.0 + 0.0j, -(d - a) / c)
-    return (r1, -b / (c * r1))
-
-
-def _is_interior(z: complex, model: Model) -> bool:
-    return not is_infinite(z) and model_excess(z, model) < 0.0
-
-
-def classify(m: Mobius) -> MobiusClass:
-    """Classify by the determinant-normalized trace: trace^2 above 4 is
-    hyperbolic, below is elliptic, a 1e-9 band around 4 is parabolic."""
-    a, b, c, d = m.entries
-    if abs(b) < 1e-12 and abs(c) < 1e-12 and abs(a - d) < 1e-12:
-        return MobiusClass("identity", ())
-    tr2 = ((a + d) ** 2).real
-    fps = _fixed_points(a, b, c, d)
-    if abs(tr2 - 4.0) <= 1e-9:
-        if len(fps) == 2 and not any(is_infinite(z) for z in fps):
-            fps = ((fps[0] + fps[1]) / 2.0,)
-        elif len(fps) == 2:
-            fps = tuple(z for z in fps if is_infinite(z))
-        return MobiusClass("parabolic", fps)
-    if tr2 > 4.0:
-        if len(fps) != 2:
-            raise NumericalError("hyperbolic map without two fixed points")
-        length = 2.0 * math.acosh(max(1.0, abs(a + d) / 2.0))
-        return MobiusClass("hyperbolic", fps, axis=fps, translation_length=length)
-    interior = [z for z in fps if _is_interior(z, m.model)]
-    exterior = [z for z in fps if not _is_interior(z, m.model)]
-    return MobiusClass("elliptic", tuple(interior + exterior))
+def _on_upper(m: Mobius) -> tuple:
+    """m's entries conjugated by ``TO_UPPER`` (a punctured-disc map's as a disc
+    map's) and divided by that matrix's determinant: the same map on the upper
+    half-plane, still of determinant 1, whose entries are real exactly when m
+    is an automorphism of the disc or of its half-plane."""
+    hub = TO_UPPER[_DISC if m.model is _PUNCTURED else m.model]
+    det = hub[0] * hub[3] - hub[1] * hub[2]
+    return tuple([e / det for e in _mmul(_mmul(hub, m.entries), _adjugate(hub))])
 
 
 def is_isometry(m: Mobius) -> bool:
-    """Whether the map is an automorphism of its model (not merely a self-map).
-
-    After determinant normalization the automorphism groups have rigid
-    matrix shapes: conjugate-symmetric for the disc, real for the upper
-    half-plane, and checkerboard real/imaginary for the right half-plane.
-    """
-    a, b, c, d = m.entries
-    tol = 1e-9
-    if m.model is _DISC:
-        return abs(a - d.conjugate()) <= tol and abs(b - c.conjugate()) <= tol
-    if m.model is _UPPER:
-        return max(abs(a.imag), abs(b.imag), abs(c.imag), abs(d.imag)) <= tol
-    if m.model is _RIGHT:
-        return max(abs(a.imag), abs(d.imag), abs(b.real), abs(c.real)) <= tol
-    return False
+    """Whether the map is an automorphism of its model (not merely a self-map):
+    its entries on the upper half-plane are real within 1e-9, and on the
+    punctured disc, whose automorphisms are the rotations, it fixes 0 too."""
+    if max([abs(e.imag) for e in _on_upper(m)]) > 1e-9:
+        return False
+    return m.model is not _PUNCTURED or abs(m.b) <= 1e-9
 
 
 def build_disc_automorphism(a: ModelPoint, theta: float) -> Mobius:
@@ -290,26 +229,29 @@ def hyperbolic_pull(p: ModelPoint, q: ModelPoint) -> Mobius:
     return result
 
 
-def _axis_to_upper(axis: tuple, model: Model) -> tuple:
-    """Boundary fixed points transported to the real line (or INF)."""
-    out = []
-    for e in axis:
-        # the disc's boundary point 1 is the pole of the Cayley map
-        if is_infinite(e) or (model is _DISC and abs(1.0 - e) < 1e-12):
-            out.append(INF)
-        else:
-            out.append(_mapply(TO_UPPER[model], e))
-    return tuple(out)
-
-
-def dist_to_axis(w: ModelPoint, axis: tuple, model: Model) -> float:
-    """Hyperbolic distance from a point to the geodesic with the given
-    boundary endpoints (endpoints in model coordinates, INF allowed): on the
-    upper half-plane, sinh d = |Re P| / |Im P| for P = (z - e1)(conj z - e2),
-    and |Re z - e1| / Im z when e2 is INF."""
-    z = convert(w, _UPPER).value
+def dist_to_axis(w: ModelPoint, h: Mobius) -> float:
+    """Hyperbolic distance from a point to the axis of a hyperbolic
+    automorphism h, read from h's real entries a, b, c, d on the upper
+    half-plane (Beardon & Minda): at z = x + i y there,
+    sinh d = |c |z|^2 + (d - a) x - b| / (y sqrt(tr^2 - 4)), the fixed-point
+    quadratic c z^2 + (d - a) z - b at z over the distance between its roots.
+    Raises DomainError unless h is an automorphism and hyperbolic."""
+    if w.model is not h.model:
+        raise DomainError(f"point model {w.model} differs from map model {h.model}")
+    if not is_isometry(h):
+        raise DomainError("map is not an automorphism of its model")
+    a, b, c, d = [e.real for e in _on_upper(h)]
+    # tr^2 - 4 as (d - a)^2 + 4 b c, equal at determinant 1 and with no
+    # cancellation near the identity. Each entry is a sum of products of h's
+    # entries with the unit entries of TO_UPPER, rounded at most twice: it errs
+    # by at most 2 eps s in s = |a| + |b| + |c| + |d|, and the discriminant by
+    # about 4 s times that. Below 8 eps s^2 the map is parabolic or elliptic to
+    # its rounding; a hyperbolic one of translation length l has 4 sinh^2(l/2)
+    # there, which clears the band near the identity (s = 2) once l > 1e-7.
+    s = abs(a) + abs(b) + abs(c) + abs(d)
+    gap = (d - a) ** 2 + 4.0 * b * c
+    if not gap > 8.0 * sys.float_info.epsilon * s * s:
+        raise DomainError(f"map is not hyperbolic: tr^2 - 4 is {gap:.3e}")
+    z = _mapply(TO_UPPER[h.model], w.value)
     x, y = z.real, z.imag
-    e1, e2 = sorted(e.real for e in _axis_to_upper(axis, model))  # INF last
-    if math.isinf(e2):
-        return math.asinh(abs(x - e1) / y)
-    return math.asinh(abs((x - e1) * (x - e2) + y * y) / (y * (e2 - e1)))  # Re P, -Im P
+    return math.asinh(abs(c * (x * x + y * y) + (d - a) * x - b) / (y * math.sqrt(gap)))

@@ -878,6 +878,38 @@ class TestCli:
         out = run_cli("degree", spec)
         assert json.loads(out.stdout)["value"] == 4
 
+    @pytest.mark.parametrize("matrix", [
+        [[0, 0], [1, 0], [1, 0], [0, 0]], [[2, 0], [0, 0], [0, 0], [1, 0]],
+        [[1, 0], [0.1, 0], [0, 0], [1, 0]],
+    ], ids=["inverse", "dilation", "translation"])
+    def test_degree_refuses_json_non_automorphism(self, matrix, capsys):
+        # 1/z, 2z and z + 0.1 are no automorphisms of the punctured disc
+        spec = {"variant": "mobius_automorphism", "model": "punctured_disc", "matrix": matrix}
+        assert main(["degree", json.dumps(spec)]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "error: matrix is not an automorphism of the punctured_disc model\n"
+
+    def test_degree_of_json_rotation(self, capsys):
+        spec = {"variant": "mobius_automorphism", "model": "punctured_disc",
+                "matrix": [[0.6, 0.8], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]}
+        assert main(["degree", json.dumps(spec)]) == 0
+        assert json.loads(capsys.readouterr().out)["value"] == 1
+
+    def test_campaign_too_large_for_memory_exits(self):
+        # the child's address space is capped at 2 GB, so the 745 GiB of one
+        # campaign's margins fail to allocate there and nowhere else
+        code = ("import resource, sys\n"
+                "resource.setrlimit(resource.RLIMIT_AS, (2 * 10 ** 9, 2 * 10 ** 9))\n"
+                "from hypbound.cli import main\n"
+                "sys.exit(main(['verify', '--theorem', 'two_point', '--family', 'mix',"
+                " '--samples', '100000000000']))\n")
+        out = run_python("-c", code, timeout=60)
+        assert out.returncode == 2
+        assert out.stdout == ""
+        assert out.stderr.startswith("error: out of memory: Unable to allocate 745. GiB")
+        assert len(out.stderr.splitlines()) == 1
+
     @pytest.mark.parametrize("args", [
         ("verify", "--theorem", "two_point", "--family", "realpart", "--samples", "3000"),
         ("halfplane", "--n", ",".join(map(str, range(2, 3000)))),

@@ -15,11 +15,9 @@ from hypbound import (
     ValidationError,
     apply,
     build_disc_automorphism,
-    classify,
     dist,
     dist_to_axis,
     hyperbolic_pull,
-    is_infinite,
     map_from_dict,
     qlo_bound,
 )
@@ -28,6 +26,11 @@ from hypbound.mobius import is_isometry
 from conftest import random_disc_point, random_model_point
 
 LN2 = math.log(2.0)
+
+
+def translation_length(h: Mobius) -> float:
+    # the displacement of a hyperbolic map along its axis, from its trace
+    return 2.0 * math.acosh(abs(h.a + h.d) / 2.0)
 
 
 def random_disc_automorphism(rng) -> Mobius:
@@ -77,7 +80,7 @@ class TestMobiusType:
 
     def test_automorphism_trivial_parameters(self):
         m = build_disc_automorphism(ModelPoint.disc(0.0), 0.0)
-        assert classify(m).kind == "identity"
+        assert m.entries == Mobius.identity(Model.DISC).entries
 
     def test_apply_escaping_image(self):
         # w -> w - x on the right half-plane: an image 5e-13 outside is within
@@ -173,63 +176,67 @@ class TestMobiusType:
 
 
 class TestClassify:
+    """A map is hyperbolic when tr^2 - 4 of its matrix on the upper half-plane
+    is above its rounding; ``dist_to_axis`` refuses every other map."""
+
     def test_dilation_is_hyperbolic(self):
-        cls = classify(Mobius(2.0, 0.0, 0.0, 1.0, Model.UPPER_HALF_PLANE))
-        assert cls.kind == "hyperbolic"
-        finite = [z for z in cls.fixed_points if not is_infinite(z)]
-        assert len(finite) == 1 and abs(finite[0]) <= 1e-12
-        assert any(is_infinite(z) for z in cls.fixed_points)
-        assert abs(cls.translation_length - LN2) <= 1e-12
+        h = Mobius(2.0, 0.0, 0.0, 1.0, Model.UPPER_HALF_PLANE)
+        # its axis is the imaginary axis, through 0 and infinity
+        assert dist_to_axis(ModelPoint.upper(3j), h) == 0.0
+        assert abs(translation_length(h) - LN2) <= 1e-12
 
     def test_translation_is_parabolic(self):
-        cls = classify(Mobius(1.0, 1.0, 0.0, 1.0, Model.UPPER_HALF_PLANE))
-        assert cls.kind == "parabolic"
-        assert len(cls.fixed_points) == 1 and is_infinite(cls.fixed_points[0])
+        with pytest.raises(DomainError, match="^map is not hyperbolic"):
+            dist_to_axis(ModelPoint.upper(1j), Mobius(1.0, 1.0, 0.0, 1.0, Model.UPPER_HALF_PLANE))
 
     def test_rotation_is_elliptic(self):
-        theta = math.pi / 3.0
-        m = Mobius(cmath.exp(1j * theta), 0.0, 0.0, 1.0, Model.DISC)
-        cls = classify(m)
-        assert cls.kind == "elliptic"
-        assert abs(cls.fixed_points[0]) <= 1e-12  # interior point first
+        m = Mobius(cmath.exp(1j * math.pi / 3.0), 0.0, 0.0, 1.0, Model.DISC)
+        with pytest.raises(DomainError, match="^map is not hyperbolic"):
+            dist_to_axis(ModelPoint.disc(0.5), m)
 
     def test_identity(self):
-        assert classify(Mobius.identity(Model.DISC)).kind == "identity"
-        assert classify(Mobius(3.0, 0.0, 0.0, 3.0, Model.DISC)).kind == "identity"
+        for m in (Mobius.identity(Model.DISC), Mobius(3.0, 0.0, 0.0, 3.0, Model.DISC)):
+            with pytest.raises(DomainError, match="^map is not hyperbolic"):
+                dist_to_axis(ModelPoint.disc(0.5), m)
 
     def test_generic_parabolic_fixed_point(self):
         # conjugate of z + 1 by -1/z fixes 0
         m = Mobius(1.0, 0.0, -1.0, 1.0, Model.UPPER_HALF_PLANE)
-        cls = classify(m)
-        assert cls.kind == "parabolic"
-        assert len(cls.fixed_points) == 1
-        assert abs(cls.fixed_points[0]) <= 1e-9
+        with pytest.raises(DomainError, match="^map is not hyperbolic"):
+            dist_to_axis(ModelPoint.upper(1j), m)
 
     def test_disc_hyperbolic_axis_on_circle(self, rng):
+        # the pull's entries on the upper half-plane are real, so the roots of its
+        # fixed-point quadratic, the ends of its axis, lie on the boundary; the
+        # axis is the geodesic through p and q, and the pull moves along it
         for _ in range(50):
             p = random_disc_point(rng)
             q = random_disc_point(rng)
             if dist(p, q) < 0.1:
                 continue
-            cls = classify(hyperbolic_pull(p, q))
-            assert cls.kind == "hyperbolic"
-            for e in cls.axis:
-                assert abs(abs(e) - 1.0) <= 1e-9
+            h = hyperbolic_pull(p, q)
+            assert is_isometry(h)
+            assert dist_to_axis(p, h) <= 1e-9 and dist_to_axis(q, h) <= 1e-9
+            assert abs(dist(p, apply(h, p)) - translation_length(h)) <= 1e-9
+
+    def test_non_automorphism_refused(self):
+        # z -> 2 z is hyperbolic, but not an isometry of the disc
+        with pytest.raises(DomainError, match="^map is not an automorphism"):
+            dist_to_axis(ModelPoint.disc(0.5), Mobius(2.0, 0.0, 0.0, 1.0, Model.DISC))
 
 
 class TestHyperbolicPull:
     def test_equal_points_identity(self):
         p = ModelPoint.disc(0.3)
         h = hyperbolic_pull(p, p)
-        assert classify(h).kind == "identity"
+        assert h == Mobius.identity(Model.DISC)
 
     def test_vertical_dilation(self):
         p, q = ModelPoint.upper(1j), ModelPoint.upper(2j)
         h = hyperbolic_pull(p, q)
         assert abs(h.apply_value(2j) - 1j) <= 1e-12
-        cls = classify(h)
-        fixed = sorted(abs(z) for z in cls.fixed_points)
-        assert fixed[0] <= 1e-9 and math.isinf(fixed[1])
+        # it fixes 0 and infinity
+        assert abs(h.b) <= 1e-9 and abs(h.c) <= 1e-9
 
     def test_disc_radial(self):
         r = 0.4
@@ -252,7 +259,7 @@ class TestHyperbolicPull:
             h = hyperbolic_pull(p, q)
             assert abs(apply(h, q).value - p.value) <= 1e-12
             d = dist(p, q)
-            assert abs(classify(h).translation_length - d) <= 1e-12 * d
+            assert abs(translation_length(h) - d) <= 1e-12 * d
 
     def test_far_apart_at_one_height(self):
         # a semicircle of radius 1e6 through points at height 1: a pull built from
@@ -260,7 +267,7 @@ class TestHyperbolicPull:
         p, q = ModelPoint.upper(complex(1e6, 1.0)), ModelPoint.upper(complex(-1e6, 1.0))
         h = hyperbolic_pull(p, q)
         d = dist(p, q)
-        assert abs(classify(h).translation_length - d) <= 1e-12 * d
+        assert abs(translation_length(h) - d) <= 1e-12 * d
         assert abs(h.apply_value(q.value) - p.value) <= 1e-8 * abs(p.value)
 
     @pytest.mark.parametrize("p, q", [
@@ -275,7 +282,7 @@ class TestHyperbolicPull:
         # pull must not inherit it and look singular
         h = hyperbolic_pull(p, q)
         assert abs(h.apply_value(q.value) - p.value) <= 1e-8 * max(1.0, abs(p.value))
-        assert classify(h).kind == "hyperbolic"
+        assert dist_to_axis(q, h) >= 0.0  # defined: h is hyperbolic
 
     def test_pull_properties(self, rng):
         for _ in range(200):
@@ -285,9 +292,7 @@ class TestHyperbolicPull:
             if d < 0.1:
                 continue
             h = hyperbolic_pull(p, q)
-            cls = classify(h)
-            assert cls.kind == "hyperbolic"
-            assert abs(cls.translation_length - d) <= 1e-9 * max(1.0, d)
+            assert abs(translation_length(h) - d) <= 1e-9 * max(1.0, d)
             assert abs(apply(h, q).value - p.value) <= 1e-10
 
 
@@ -309,9 +314,31 @@ class TestQloBound:
         assert report.margin >= -1e-9
 
     def test_non_hyperbolic_rejected(self):
+        # z -> z + 1, a rotation and the identity
         h = Mobius(1.0, 1.0, 0.0, 1.0, Model.UPPER_HALF_PLANE)
         with pytest.raises(DomainError):
             qlo_bound(ModelPoint.upper(1j), ModelPoint.upper(1j), h)
+        for h in (Mobius(1j, 0.0, 0.0, 1.0, Model.DISC), Mobius.identity(Model.DISC)):
+            with pytest.raises(DomainError, match="^map is not hyperbolic"):
+                qlo_bound(ModelPoint.disc(0.3j), ModelPoint.disc(0.0), h)
+
+    def test_model_mismatch_rejected(self):
+        h = hyperbolic_pull(ModelPoint.disc(0.5), ModelPoint.disc(0.0))
+        for w, c in [(ModelPoint.upper(1j), ModelPoint.disc(0.0)),
+                     (ModelPoint.disc(0.3j), ModelPoint.upper(1j))]:
+            with pytest.raises(DomainError, match="differs from map model"):
+                qlo_bound(w, c, h)
+
+    @pytest.mark.parametrize("d", [1e-4, 3e-5, 1e-5, 1e-6])
+    def test_short_pull_is_hyperbolic(self, d):
+        # tr^2 - 4 is about d^2 here: a 1e-9 band on it called these maps parabolic
+        h = hyperbolic_pull(ModelPoint.disc(math.tanh(d / 2.0)), ModelPoint.disc(0.0))
+        report = qlo_bound(ModelPoint.disc(0.3j), ModelPoint.disc(0.0), h)
+        assert not report.violated
+        # 0.3 i is 2 atanh(0.3) from the axis, the real diameter
+        assert abs(report.witnesses["axis_distance"] - 2.0 * math.atanh(0.3)) <= 1e-15
+        lhs, rhs = report.witnesses["identity_lhs"], report.witnesses["identity_rhs"]
+        assert abs(lhs - rhs) <= 1e-12 * rhs
 
     def test_off_axis_rejected(self):
         h = Mobius(2.0, 0.0, 0.0, 1.0, Model.UPPER_HALF_PLANE)
@@ -336,8 +363,8 @@ class TestQloBound:
 
 def test_axis_distance_vertical():
     # distance from re^{i t} to the imaginary axis satisfies sinh d = |cot t|
-    d = dist_to_axis(ModelPoint.upper(1 + 1j), (0.0, complex(math.inf, 0)),
-                     Model.UPPER_HALF_PLANE)
+    h = Mobius(2.0, 0.0, 0.0, 1.0, Model.UPPER_HALF_PLANE)  # axis from 0 to infinity
+    d = dist_to_axis(ModelPoint.upper(1 + 1j), h)
     assert abs(math.sinh(d) - 1.0) <= 1e-12
 
 
@@ -345,7 +372,8 @@ def test_axis_distance_vertical():
 def test_axis_distance_to_a_semicircle(t):
     # t i lies on the imaginary axis, which meets the unit semicircle at i
     # at a right angle, so its distance to that geodesic is d(t i, i) = |ln t|
-    d = dist_to_axis(ModelPoint.upper(complex(0.0, t)), (-1.0, 1.0), Model.UPPER_HALF_PLANE)
+    h = Mobius(5.0, 4.0, 4.0, 5.0, Model.UPPER_HALF_PLANE)  # it fixes -1 and 1
+    d = dist_to_axis(ModelPoint.upper(complex(0.0, t)), h)
     assert abs(d - abs(math.log(t))) <= 1e-15 + 1e-14 * abs(math.log(t))
 
 
@@ -364,6 +392,27 @@ def test_is_isometry_half_planes(model, automorphisms, others):
         assert is_isometry(Mobius(*entries, model))
     for entries in others:  # a translation that is not onto, a rotation off the model
         assert not is_isometry(Mobius(*entries, model))
+
+
+def test_is_isometry_punctured_disc():
+    # the automorphisms of the punctured disc are the rotations
+    rotation = Mobius(cmath.exp(0.7j), 0.0, 0.0, 1.0, Model.PUNCTURED_DISC)
+    assert is_isometry(rotation) and is_isometry(Mobius.identity(Model.PUNCTURED_DISC))
+    for entries in [(0.0, 1.0, 1.0, 0.0), (2.0, 0.0, 0.0, 1.0), (1.0, 0.1, 0.0, 1.0)]:
+        assert not is_isometry(Mobius(*entries, Model.PUNCTURED_DISC))  # 1/z, 2z, z + 0.1
+    # a disc automorphism that moves 0 is not one
+    assert not is_isometry(Mobius(*build_disc_automorphism(ModelPoint.disc(0.5), 0.0).entries,
+                                  Model.PUNCTURED_DISC))
+
+
+@pytest.mark.parametrize("model, entries", [
+    ("disc", (2.0, 0.0, 0.0, 1.0)), ("upper_half_plane", (1.0, 1j, 0.0, 1.0)),
+], ids=["disc-dilation", "upper-complex-translation"])
+def test_json_non_automorphism_refused(model, entries):
+    # the punctured disc's are refused through the CLI in test_harness.py
+    matrix = [[e.real, e.imag] for e in map(complex, entries)]
+    with pytest.raises(ValidationError, match=f"^matrix is not an automorphism of the {model}"):
+        map_from_dict({"variant": "mobius_automorphism", "model": model, "matrix": matrix})
 
 
 def test_sinh_ratio_increasing():

@@ -19,7 +19,6 @@ from hypbound import (
     HalfDistancePair,
     HalfPlaneTranslate,
     Mobius,
-    MobiusClass,
     Model,
     ModelPoint,
     NumericalError,
@@ -53,9 +52,9 @@ def _config(seed=1):
     return CampaignConfig("two_point", "mix", 10, seed, family_params={"max_degree": 3})
 
 
-# class -> (a factory of an instance, one of an unequal object, and the
-# instance's repr and the class's __match_args__ as the frozen dataclass the
-# class used to be gave them)
+# class, or a class and a second case of it -> (a factory of an instance, one
+# of an unequal object, and the instance's repr and the class's __match_args__
+# as the frozen dataclass the class used to be gave them)
 FROZEN = {
     "ModelPoint": (
         lambda: ModelPoint.disc(0.25 - 0.1j), lambda: ModelPoint.punctured(0.25 - 0.1j),
@@ -72,10 +71,14 @@ FROZEN = {
         "c=(-0.3119436817367459+0.4858234995940985j), "
         "d=(0.6238873634734918-0.971646999188197j), model=<Model.DISC: 'disc'>)",
         ("a", "b", "c", "d", "model")),
-    "MobiusClass": (
-        lambda: MobiusClass("elliptic", (0.25j, 4j)), lambda: MobiusClass("parabolic", (0.25j,)),
-        "MobiusClass(kind='elliptic', fixed_points=(0.25j, 4j), axis=None, "
-        "translation_length=None)", ("kind", "fixed_points", "axis", "translation_length")),
+    "Mobius, punctured": (
+        # a rotation: the Moebius automorphisms of the punctured disc are these
+        lambda: Mobius(cmath.exp(0.5j), 0.0, 0.0, 1.0, Model.PUNCTURED_DISC),
+        lambda: Mobius.identity(Model.PUNCTURED_DISC),
+        "Mobius(a=(0.9689124217106447+0.2474039592545229j), b=0j, c=0j, "
+        "d=(0.9689124217106447-0.24740395925452285j), "
+        "model=<Model.PUNCTURED_DISC: 'punctured_disc'>)",
+        ("a", "b", "c", "d", "model")),
     "BlaschkeProduct": (
         lambda: BlaschkeProduct(0.5, (0.25j, -0.5)), lambda: BlaschkeProduct(0.5, (0.25j,)),
         "BlaschkeProduct(rotation=0.5, zeros=(0.25j, (-0.5+0j)), model=<Model.DISC: 'disc'>)",
